@@ -17,6 +17,7 @@ from .annotator import (
 )
 from .corpus import (
     Document,
+    ExtractionRecord,
     GoldAnnotation,
     Source,
     load_corpus,
@@ -29,7 +30,6 @@ from .corpus import (
 )
 from .ensemble import (
     EnsembleConfig,
-    ExtractionRecord,
     TieBreak,
     VotePolicy,
     ensemble_records,

@@ -11,8 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ensemble import ExtractionRecord
-from .corpus import Document
+from .corpus import Document, ExtractionRecord
 from .gazetteer import COUNTRY, DISEASE, Gazetteer, default_gazetteer, fold
 from .normalize import (
     COUNT_EXPR_RE,

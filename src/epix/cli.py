@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from . import annotator, llm
 from .corpus import (
     Document,
+    ExtractionRecord,
     load_corpus,
     load_gold,
     parse_don_article,
@@ -26,13 +27,7 @@ from .corpus import (
     save_corpus,
     with_id,
 )
-from .ensemble import (
-    EnsembleConfig,
-    ExtractionRecord,
-    TieBreak,
-    VotePolicy,
-    ensemble_records,
-)
+from .ensemble import EnsembleConfig, TieBreak, VotePolicy, ensemble_records
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -56,9 +51,6 @@ RULE_BASED = "rule_based"
 LLM = "llm"
 ENSEMBLE = "ensemble"
 
-_TEMPLATE_SHOTS = {"zero-shot": 0, "three-shot": 3}
-
-
 @dataclass(frozen=True)
 class ExtractorSpec:
     id: str
@@ -67,10 +59,6 @@ class ExtractorSpec:
     template: Optional[str] = None
     members: tuple[str, ...] = ()
     policy: Optional[VotePolicy] = None
-
-    @property
-    def shots(self) -> int:
-        return _TEMPLATE_SHOTS.get(self.template or "", 0)
 
 
 @dataclass
@@ -134,11 +122,10 @@ def load_run_config(path: str | Path) -> RunConfig:
             template = entry.get("template", "zero-shot")
             if not model:
                 raise ConfigError(f"extractor {extractor_id!r}: llm kind needs a model")
-            if template not in _TEMPLATE_SHOTS:
-                raise ConfigError(
-                    f"extractor {extractor_id!r}: unknown template {template!r} "
-                    f"(presets: {sorted(_TEMPLATE_SHOTS)})"
-                )
+            try:
+                load_template(template)
+            except ConfigError as exc:
+                raise ConfigError(f"extractor {extractor_id!r}: {exc}") from None
             extractors.append(ExtractorSpec(extractor_id, kind, model=model, template=template))
         elif kind == ENSEMBLE:
             members = tuple(entry.get("members", ()))
@@ -217,10 +204,15 @@ def _load_predictions(path: Path) -> dict[str, ExtractionRecord]:
     if not path.exists():
         return records
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                record = ExtractionRecord.from_json(json.loads(line))
-                records[record.document_id] = record
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: invalid JSON ({exc.msg})", line=lineno) from None
+            record = ExtractionRecord.from_json(data)
+            records[record.document_id] = record
     return records
 
 
@@ -235,12 +227,13 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     """Run every configured extractor over the corpus, resuming where possible.
 
     Documents that already have a persisted record are skipped. On transport
-    failure the completed records are saved before exiting.
+    failure the completed records are saved before exiting. The transport is
+    built only when a model extractor runs, so rule-based runs need no cache.
     """
     docs = load_corpus(config.corpus)
     gazetteer = default_gazetteer()
     registry = default_registry()
-    transport = config.transport()
+    transport = None
 
     ordered = [s for s in config.extractors if s.kind != ENSEMBLE] + [
         s for s in config.extractors if s.kind == ENSEMBLE
@@ -262,6 +255,8 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
             if profile is None:
                 raise ConfigError(f"unknown model profile {spec.model!r}")
             template = load_template(spec.template)
+            if transport is None:
+                transport = config.transport()
             try:
                 records = llm.extract_documents(
                     missing, profile, template, transport,

@@ -1,8 +1,9 @@
 """Document model and ingestion for outbreak-news feeds.
 
 Raw mailing-list posts and bulletin articles are normalized into plain-text
-Documents; corpora and gold annotations persist as line-delimited JSON so
-collections of tens of thousands of documents stream without loading tricks.
+Documents; corpora, gold annotations and extraction records persist as
+line-delimited JSON so collections of tens of thousands of documents stream
+without loading tricks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 from .errors import EmptyInput, SchemaError
-from .normalize import IsoDate, normalize_date
+from .normalize import (
+    FIELD_TABLE,
+    FIELDS,
+    CanonicalDisease,
+    CaseCount,
+    CountryCode,
+    IsoDate,
+    normalize_date,
+)
 
 
 class Source(str, Enum):
@@ -38,10 +47,6 @@ class Document:
     url: Optional[str] = None
     published: Optional[IsoDate] = None
     warnings: tuple[str, ...] = ()
-
-    @property
-    def chars(self) -> int:
-        return len(self.body)
 
     def to_json(self) -> dict:
         record = {
@@ -110,6 +115,76 @@ class GoldAnnotation:
             "date": self.date.isoformat() if self.date else None,
             "count": self.count,
         }
+
+
+@dataclass(frozen=True)
+class ExtractionRecord:
+    """What one extractor found in one document: per field, the raw string
+    and its normalized value; ``field_warnings`` lists raw strings that
+    defeated normalization."""
+
+    document_id: str
+    extractor_id: str
+    disease_raw: Optional[str] = None
+    disease: Optional[CanonicalDisease] = None
+    country_raw: Optional[str] = None
+    country: Optional[CountryCode] = None
+    date_raw: Optional[str] = None
+    date: Optional[IsoDate] = None
+    count_raw: Optional[str] = None
+    count: Optional[CaseCount] = None
+    parse_failure: bool = False
+    truncated_input: bool = False
+    field_warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not self.extractor_id:
+            raise ValueError("extractor_id must be non-empty")
+
+    def normalized_value(self, field_name: str):
+        if field_name not in FIELDS:
+            raise ValueError(f"unknown field {field_name!r}")
+        return getattr(self, field_name)
+
+    def raw_value(self, field_name: str) -> Optional[str]:
+        if field_name not in FIELDS:
+            raise ValueError(f"unknown field {field_name!r}")
+        return getattr(self, f"{field_name}_raw")
+
+    def to_json(self) -> dict:
+        record = {"document_id": self.document_id, "extractor_id": self.extractor_id}
+        for name, row in FIELD_TABLE.items():
+            raw, value = getattr(self, f"{name}_raw"), getattr(self, name)
+            if raw is None and value is None:
+                record[name] = None
+            elif value is None:
+                record[name] = {"raw": raw}
+            else:
+                record[name] = {"raw": raw, **row.encode(value)}
+        record["flags"] = {
+            "parse_failure": self.parse_failure,
+            "truncated_input": self.truncated_input,
+            "field_warnings": list(self.field_warnings),
+        }
+        return record
+
+    @staticmethod
+    def from_json(record: Mapping) -> "ExtractionRecord":
+        values = {}
+        for name, row in FIELD_TABLE.items():
+            obj = record.get(name)
+            if obj is not None:
+                values[f"{name}_raw"] = obj.get("raw")
+                values[name] = row.decode(obj) if row.tag in obj else None
+        flags = record.get("flags", {})
+        return ExtractionRecord(
+            document_id=record["document_id"],
+            extractor_id=record["extractor_id"],
+            parse_failure=flags.get("parse_failure", False),
+            truncated_input=flags.get("truncated_input", False),
+            field_warnings=tuple(flags.get("field_warnings", ())),
+            **values,
+        )
 
 
 # --- markup stripping ------------------------------------------------------

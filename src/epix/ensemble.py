@@ -1,141 +1,14 @@
-"""Majority voting over per-field outputs of multiple extractors.
-
-Also home of ExtractionRecord, the record shape every extractor produces:
-the four target fields (disease, country, date, case count), each carried
-as the raw string plus its normalized value.
-"""
+"""Majority voting over per-field outputs of multiple extractors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
+from .corpus import ExtractionRecord
 from .errors import ConfigError
-from .normalize import (
-    CanonicalDisease,
-    CaseCount,
-    CountAttribute,
-    CountryCode,
-    FIELDS,
-    IsoDate,
-    values_match,
-)
-
-
-@dataclass(frozen=True)
-class ExtractionRecord:
-    document_id: str
-    extractor_id: str
-    disease_raw: Optional[str] = None
-    disease: Optional[CanonicalDisease] = None
-    country_raw: Optional[str] = None
-    country: Optional[CountryCode] = None
-    date_raw: Optional[str] = None
-    date: Optional[IsoDate] = None
-    count_raw: Optional[str] = None
-    count: Optional[CaseCount] = None
-    parse_failure: bool = False
-    truncated_input: bool = False
-    field_warnings: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.extractor_id:
-            raise ValueError("extractor_id must be non-empty")
-
-    def normalized_value(self, field_name: str):
-        if field_name not in FIELDS:
-            raise ValueError(f"unknown field {field_name!r}")
-        return getattr(self, field_name)
-
-    def raw_value(self, field_name: str) -> Optional[str]:
-        if field_name not in FIELDS:
-            raise ValueError(f"unknown field {field_name!r}")
-        return getattr(self, f"{field_name}_raw")
-
-    def to_json(self) -> dict:
-        def field_obj(raw, norm, payload):
-            if raw is None and norm is None:
-                return None
-            obj = {"raw": raw}
-            if norm is not None:
-                obj.update(payload(norm))
-            return obj
-
-        return {
-            "document_id": self.document_id,
-            "extractor_id": self.extractor_id,
-            "disease": field_obj(
-                self.disease_raw,
-                self.disease,
-                lambda d: {"canonical_id": d.canonical_id, "display_name": d.display_name},
-            ),
-            "country": field_obj(
-                self.country_raw,
-                self.country,
-                lambda c: {"alpha3": c.alpha3, "display_name": c.display_name},
-            ),
-            "date": field_obj(self.date_raw, self.date, lambda d: {"iso": d.isoformat()}),
-            "count": field_obj(
-                self.count_raw,
-                self.count,
-                lambda c: {
-                    "value": c.value,
-                    "approximate": c.approximate,
-                    "attribute": c.attribute.value,
-                },
-            ),
-            "flags": {
-                "parse_failure": self.parse_failure,
-                "truncated_input": self.truncated_input,
-                "field_warnings": list(self.field_warnings),
-            },
-        }
-
-    @staticmethod
-    def from_json(record: Mapping) -> "ExtractionRecord":
-        def norm(obj, builder):
-            if obj is None:
-                return None, None
-            return obj.get("raw"), builder(obj)
-
-        disease_raw, disease = norm(
-            record.get("disease"),
-            lambda o: CanonicalDisease(o["canonical_id"], o["display_name"])
-            if "canonical_id" in o
-            else None,
-        )
-        country_raw, country = norm(
-            record.get("country"),
-            lambda o: CountryCode(o["alpha3"], o["display_name"]) if "alpha3" in o else None,
-        )
-        date_raw, date_norm = norm(
-            record.get("date"),
-            lambda o: date.fromisoformat(o["iso"]) if "iso" in o else None,
-        )
-        count_raw, count = norm(
-            record.get("count"),
-            lambda o: CaseCount(o["value"], o["approximate"], CountAttribute(o["attribute"]))
-            if "value" in o
-            else None,
-        )
-        flags = record.get("flags", {})
-        return ExtractionRecord(
-            document_id=record["document_id"],
-            extractor_id=record["extractor_id"],
-            disease_raw=disease_raw,
-            disease=disease,
-            country_raw=country_raw,
-            country=country,
-            date_raw=date_raw,
-            date=date_norm,
-            count_raw=count_raw,
-            count=count,
-            parse_failure=flags.get("parse_failure", False),
-            truncated_input=flags.get("truncated_input", False),
-            field_warnings=tuple(flags.get("field_warnings", ())),
-        )
+from .normalize import FIELDS, values_match
 
 
 class TieBreak(str, Enum):

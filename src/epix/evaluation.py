@@ -15,8 +15,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .corpus import GoldAnnotation
-from .ensemble import ExtractionRecord
+from .corpus import ExtractionRecord, GoldAnnotation
 from .errors import AlignmentError, EmptyReport
 from .normalize import FIELDS, values_match
 

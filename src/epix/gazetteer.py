@@ -86,9 +86,6 @@ class Gazetteer:
     def __len__(self) -> int:
         return len(self._by_surface)
 
-    def __contains__(self, surface: str) -> bool:
-        return fold(surface) in self._by_surface
-
     def entries(self) -> Iterator[GazetteerEntry]:
         return iter(set(self._by_surface.values()))
 

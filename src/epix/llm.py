@@ -20,10 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-import requests
-
-from .corpus import Document
-from .ensemble import ExtractionRecord
+from .corpus import Document, ExtractionRecord
 from .errors import (
     AuthError,
     BudgetExhausted,
@@ -34,12 +31,7 @@ from .errors import (
     TransportError,
 )
 from .gazetteer import Gazetteer
-from .normalize import (
-    normalize_country,
-    normalize_date,
-    normalize_disease,
-    parse_count_expression,
-)
+from .normalize import FIELD_TABLE
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +40,7 @@ API_KEY_ENV = "EPIX_API_KEY"
 ENDPOINT_ENV = "EPIX_ENDPOINT"
 _FALLBACK_ENDPOINT = "http://localhost:8080/v1/chat/completions"
 
-OUTPUT_KEYS = ("virus", "country", "date", "cases")
+OUTPUT_KEYS = tuple(row.answer_keys[0] for row in FIELD_TABLE.values())
 ABSENT_MARKER = "None"
 
 ANSWER_RESERVE_TOKENS = 512
@@ -108,15 +100,13 @@ class PromptTemplate:
     name: str
     instruction: str
     demonstrations: tuple[Demonstration, ...] = ()
-    output_keys: tuple[str, ...] = OUTPUT_KEYS
-    absent_marker: str = ABSENT_MARKER
 
     def __post_init__(self):
         for demo in self.demonstrations:
-            if set(demo.answer) != set(self.output_keys):
+            if set(demo.answer) != set(OUTPUT_KEYS):
                 raise ConfigError(
                     f"demonstration answer keys {sorted(demo.answer)} do not match "
-                    f"output keys {list(self.output_keys)}"
+                    f"output keys {list(OUTPUT_KEYS)}"
                 )
 
     @property
@@ -152,8 +142,8 @@ class PromptBuild:
     truncated: bool
 
 
-def _answer_text(template: PromptTemplate, answer: Mapping[str, str]) -> str:
-    ordered = {key: answer[key] for key in template.output_keys}
+def _answer_text(answer: Mapping[str, str]) -> str:
+    ordered = {key: answer[key] for key in OUTPUT_KEYS}
     return json.dumps(ordered, ensure_ascii=False)
 
 
@@ -169,7 +159,7 @@ def build_messages(
     messages: list[dict] = [{"role": "system", "content": template.instruction}]
     for demo in template.demonstrations:
         messages.append({"role": "user", "content": demo.excerpt})
-        messages.append({"role": "assistant", "content": _answer_text(template, demo.answer)})
+        messages.append({"role": "assistant", "content": _answer_text(demo.answer)})
 
     overhead = sum(
         estimate_tokens(m["content"]) + MESSAGE_OVERHEAD_TOKENS for m in messages
@@ -235,7 +225,10 @@ class Transport:
         path = self.cache_path(digest)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise TransportError(f"{path}: corrupt cache entry ({exc.msg})") from None
 
     def write_cached(self, digest: str, request_body: dict, response_body: dict) -> None:
         with self._lock:
@@ -257,16 +250,16 @@ class Transport:
 
         Useful for building replay fixtures without any live traffic.
         """
-        request_body = _request_body(model, messages, sampling)
+        request_body = _request_body(model.name, messages, sampling)
         digest = request_digest(model.name, messages, sampling)
         response_body = {"choices": [{"message": {"role": "assistant", "content": response_text}}]}
         self.write_cached(digest, request_body, response_body)
         return digest
 
 
-def _request_body(model: ModelProfile, messages: Sequence[Mapping], sampling: Sampling) -> dict:
+def _request_body(model_name: str, messages: Sequence[Mapping], sampling: Sampling) -> dict:
     return {
-        "model": model.name,
+        "model": model_name,
         "messages": [dict(m) for m in messages],
         "temperature": sampling.temperature,
         "max_tokens": sampling.max_tokens,
@@ -275,13 +268,10 @@ def _request_body(model: ModelProfile, messages: Sequence[Mapping], sampling: Sa
 
 def request_digest(model_name: str, messages: Sequence[Mapping], sampling: Sampling) -> str:
     """Stable digest over the full request; any message byte change alters it."""
-    payload = {
-        "model": model_name,
-        "messages": [dict(m) for m in messages],
-        "temperature": sampling.temperature,
-        "max_tokens": sampling.max_tokens,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    canonical = json.dumps(
+        _request_body(model_name, messages, sampling),
+        sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -313,7 +303,10 @@ def complete(
     api_key = os.environ.get(API_KEY_ENV)
     if not api_key:
         raise AuthError(f"{API_KEY_ENV} is not set; required for {transport.mode.value} mode")
-    request_body = _request_body(model, messages, sampling)
+    # Imported here so that replay-only runs never pay for loading it.
+    import requests
+
+    request_body = _request_body(model.name, messages, sampling)
     headers = {"Authorization": f"Bearer {api_key}"}
 
     last_error: Exception | None = None
@@ -383,27 +376,11 @@ def extract_json_island(text: str) -> dict[str, str]:
     raise NoIsland("no balanced object found in response text")
 
 
-_KEY_ALIASES = {
-    "disease": ("virus", "disease"),
-    "country": ("country",),
-    "date": ("date",),
-    "count": ("cases", "count"),
-}
-
-_NORMALIZERS = {
-    "disease": normalize_disease,
-    "country": lambda raw, _gaz: normalize_country(raw),
-    "date": lambda raw, _gaz: normalize_date(raw),
-    "count": lambda raw, _gaz: parse_count_expression(raw),
-}
-
-
 def parse_fields(
     field_map: Mapping[str, object],
     doc_id: str,
     extractor_id: str,
     gazetteer: Gazetteer | None = None,
-    absent_marker: str = ABSENT_MARKER,
 ) -> ExtractionRecord:
     """Map an answer object's keys onto the record fields and normalize them.
 
@@ -413,19 +390,17 @@ def parse_fields(
     folded = {str(key).casefold(): value for key, value in field_map.items()}
     values: dict[str, object] = {}
     warnings: list[str] = []
-    for field_name, aliases in _KEY_ALIASES.items():
-        raw = next((folded[a] for a in aliases if a in folded), None)
+    for name, row in FIELD_TABLE.items():
+        raw = next((folded[key] for key in row.answer_keys if key in folded), None)
         if raw is not None:
             raw = _stringify(raw).strip()
-        if not raw or raw.casefold() == absent_marker.casefold():
-            values[f"{field_name}_raw"] = None
-            values[field_name] = None
+        if not raw or raw.casefold() == ABSENT_MARKER.casefold():
             continue
-        normalized = _NORMALIZERS[field_name](raw, gazetteer)
+        normalized = row.normalize(raw, gazetteer)
         if normalized is None:
-            warnings.append(field_name)
-        values[f"{field_name}_raw"] = raw
-        values[field_name] = normalized
+            warnings.append(name)
+        values[f"{name}_raw"] = raw
+        values[name] = normalized
     return ExtractionRecord(
         document_id=doc_id,
         extractor_id=extractor_id,

@@ -14,7 +14,7 @@ from datetime import date
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Mapping, Optional
 
 from .gazetteer import DISEASE, Gazetteer, _iter_tsv, default_gazetteer, fold
 
@@ -308,33 +308,72 @@ def parse_count_expression(raw: str) -> Optional[CaseCount]:
     return count_from_match(match)
 
 
-# --- cross-field comparison ----------------------------------------------
-
-FIELDS = ("disease", "country", "date", "count")
+# --- the four fields -----------------------------------------------------
 
 
-def _comparison_key(field: str, value, gazetteer: Gazetteer | None):
+@dataclass(frozen=True)
+class Field:
+    """One target fact: how models name it, normalize it, compare it and store it.
+
+    Prompts ask for the first of ``answer_keys``. A stored record holds
+    ``encode(value)`` beside the raw string, ``tag`` marks that a normalized
+    value is there, and ``decode`` reads it back. ``key`` maps a normalized
+    value to what equality is judged on.
+    """
+
+    name: str
+    answer_keys: tuple[str, ...]
+    normalize: Callable[[str, Optional[Gazetteer]], object]
+    key: Callable[[object], object]
+    tag: str
+    encode: Callable[[object], dict]
+    decode: Callable[[Mapping], object]
+
+
+FIELD_TABLE = {row.name: row for row in (
+    Field(
+        "disease", ("virus", "disease"), normalize_disease,
+        key=lambda v: v.canonical_id,
+        tag="canonical_id",
+        encode=lambda v: {"canonical_id": v.canonical_id, "display_name": v.display_name},
+        decode=lambda o: CanonicalDisease(o["canonical_id"], o["display_name"]),
+    ),
+    Field(
+        "country", ("country",), lambda raw, _gazetteer: normalize_country(raw),
+        key=lambda v: v.alpha3,
+        tag="alpha3",
+        encode=lambda v: {"alpha3": v.alpha3, "display_name": v.display_name},
+        decode=lambda o: CountryCode(o["alpha3"], o["display_name"]),
+    ),
+    Field(
+        "date", ("date",), lambda raw, _gazetteer: normalize_date(raw),
+        key=lambda v: v.isoformat(),
+        tag="iso",
+        encode=lambda v: {"iso": v.isoformat()},
+        decode=lambda o: date.fromisoformat(o["iso"]),
+    ),
+    Field(
+        "count", ("cases", "count"), lambda raw, _gazetteer: parse_count_expression(raw),
+        # Gold counts are plain integers.
+        key=lambda v: v.value if isinstance(v, CaseCount) else int(v),
+        tag="value",
+        encode=lambda v: {
+            "value": v.value, "approximate": v.approximate, "attribute": v.attribute.value
+        },
+        decode=lambda o: CaseCount(o["value"], o["approximate"], CountAttribute(o["attribute"])),
+    ),
+)}
+FIELDS = tuple(FIELD_TABLE)
+
+
+def _comparison_key(row: Field, value, gazetteer: Gazetteer | None):
     if isinstance(value, str):
-        resolved = {
-            "disease": lambda v: normalize_disease(v, gazetteer),
-            "country": normalize_country,
-            "date": normalize_date,
-            "count": parse_count_expression,
-        }[field](value)
+        resolved = row.normalize(value, gazetteer)
         if resolved is None:
+            # A tuple never equals a resolved key, which is a str or an int.
             return ("text", fold(value))
         value = resolved
-    if field == "disease":
-        return ("id", value.canonical_id)
-    if field == "country":
-        return ("alpha3", value.alpha3)
-    if field == "date":
-        return ("iso", value.isoformat())
-    if field == "count":
-        if isinstance(value, CaseCount):
-            return ("int", value.value)
-        return ("int", int(value))
-    raise ValueError(f"unknown field {field!r}")
+    return row.key(value)
 
 
 def values_match(field: str, a, b, gazetteer: Gazetteer | None = None) -> bool:
@@ -346,8 +385,9 @@ def values_match(field: str, a, b, gazetteer: Gazetteer | None = None) -> bool:
     field's normalizer first, so "EVD" and "Ebola virus disease" agree;
     strings neither side can resolve fall back to folded-text equality.
     """
-    if field not in FIELDS:
+    row = FIELD_TABLE.get(field)
+    if row is None:
         raise ValueError(f"unknown field {field!r}")
     if a is None or b is None:
         return a is None and b is None
-    return _comparison_key(field, a, gazetteer) == _comparison_key(field, b, gazetteer)
+    return _comparison_key(row, a, gazetteer) == _comparison_key(row, b, gazetteer)

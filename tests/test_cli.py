@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from epix.cli import load_run_config, main
 from epix.corpus import load_corpus, save_corpus, save_gold, Document, GoldAnnotation, Source
 from epix.errors import ConfigError
+from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
 
 
 def _write_config(tmp_path, extractors, transport=None, **extra):
@@ -72,18 +76,6 @@ def test_llm_extractor_needs_known_template(tmp_path):
     )
     with pytest.raises(ConfigError, match="template"):
         load_run_config(path)
-
-
-def test_shot_counts_follow_presets(tmp_path):
-    path = _write_config(
-        tmp_path,
-        [
-            {"id": "a", "kind": "llm", "model": "gpt-4-32k", "template": "zero-shot"},
-            {"id": "b", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"},
-        ],
-    )
-    config = load_run_config(path)
-    assert [spec.shots for spec in config.extractors] == [0, 3]
 
 
 # --- ingest ----------------------------------------------------------------------
@@ -160,6 +152,70 @@ def test_extract_replay_missing_cache_names_document(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "d0" in err or "d1" in err or "d2" in err
+
+
+def test_extract_rule_based_needs_no_transport(tmp_path):
+    _small_corpus(tmp_path)
+    config = _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}])
+    data = json.loads(config.read_text())
+    del data["transport"]
+    config.write_text(json.dumps(data))
+    assert main(["--config", str(config), "extract"]) == 0
+    assert len((tmp_path / "out" / "predictions" / "rule.jsonl").read_text().splitlines()) == 3
+
+
+def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys):
+    docs = _small_corpus(tmp_path)
+    profile = default_registry()["gpt-4-32k"]
+    template = load_template("zero-shot")
+    transport = Transport(mode=TransportMode.RECORD, cache_dir=tmp_path / "cache")
+    digests = [
+        transport.put(
+            profile,
+            build_messages(doc, template, profile).messages,
+            Sampling(),
+            '{"virus": "Measles", "country": "France", "date": "None", "cases": "None"}',
+        )
+        for doc in docs
+    ]
+    corrupt = transport.cache_path(digests[-1])
+    corrupt.write_text("{corrupt", encoding="utf-8")
+    # One worker takes the documents in order, so the corrupt entry is read last.
+    config = _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "zero-shot"}],
+        concurrency=1,
+    )
+    assert main(["--config", str(config), "extract"]) == 3
+    assert str(corrupt) in capsys.readouterr().err
+    lines = (tmp_path / "out" / "predictions" / "m.jsonl").read_text().splitlines()
+    assert [json.loads(line)["document_id"] for line in lines] == ["d0", "d1"]
+
+
+def test_torn_predictions_line_exits_2(tmp_path, capsys):
+    config = _extract_and_evaluate(tmp_path)
+    predictions = tmp_path / "out" / "predictions" / "rule.jsonl"
+    predictions.write_bytes(predictions.read_bytes()[:-40])
+    capsys.readouterr()
+    for command in ("evaluate", "extract"):
+        assert main(["--config", str(config), command]) == 2, command
+        err = capsys.readouterr().err
+        assert str(predictions) in err and "line 3" in err, command
+
+
+def test_loading_a_config_does_not_import_requests(tmp_path):
+    config = _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"}]
+    )
+    probe = (
+        "import sys, epix.cli; epix.cli.load_run_config(sys.argv[1]); "
+        "print('requests' in sys.modules)"
+    )
+    src = Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(config)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_extract_unknown_model_exits_2(tmp_path):

@@ -29,7 +29,6 @@ def test_promed_subject_becomes_title():
     assert doc.title == "Nipah virus - India"
     assert doc.body == "Fifteen cases reported in Kerala."
     assert doc.source is Source.PROMED
-    assert doc.chars == len(doc.body)
 
 
 def test_promed_tag_stripping():

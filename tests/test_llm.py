@@ -20,6 +20,7 @@ from epix.llm import (
     ANSWER_RESERVE_TOKENS,
     CHARS_PER_TOKEN,
     MESSAGE_OVERHEAD_TOKENS,
+    OUTPUT_KEYS,
     ModelKind,
     ModelProfile,
     PromptTemplate,
@@ -78,7 +79,7 @@ def test_template_presets():
     three = load_template("three-shot")
     assert three.shots == 3
     for demo in three.demonstrations:
-        assert set(demo.answer) == set(zero.output_keys)
+        assert set(demo.answer) == set(OUTPUT_KEYS)
     with pytest.raises(ConfigError):
         load_template("five-shot")
 
