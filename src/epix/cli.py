@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,8 +25,10 @@ from .corpus import (
     load_gold,
     parse_don_article,
     parse_promed_post,
+    read_jsonl,
     save_corpus,
     with_id,
+    write_jsonl,
 )
 from .ensemble import EnsembleConfig, TieBreak, VotePolicy, ensemble_records
 from .errors import (
@@ -53,12 +56,13 @@ ENSEMBLE = "ensemble"
 
 @dataclass(frozen=True)
 class ExtractorSpec:
+    """One configured extractor, resolved into what it runs."""
+
     id: str
     kind: str
-    model: Optional[str] = None
-    template: Optional[str] = None
-    members: tuple[str, ...] = ()
-    policy: Optional[VotePolicy] = None
+    profile: Optional[llm.ModelProfile] = None
+    template: Optional[llm.PromptTemplate] = None
+    ensemble: Optional[EnsembleConfig] = None
 
 
 @dataclass
@@ -98,13 +102,20 @@ def _parse_policy(data: dict, members: Sequence[str]) -> VotePolicy:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    """Parse and validate the run config; bad references fail before any work."""
+    """Parse and validate the run config; bad entries fail, naming the file, before any work."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return _parse_run_config(json.loads(path.read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+    except (ConfigError, AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
+
+def _parse_run_config(data) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("the top level must be a JSON object")
+    registry = default_registry()
     extractors: list[ExtractorSpec] = []
     seen_ids: set[str] = set()
     for entry in data.get("extractors", []):
@@ -119,34 +130,32 @@ def load_run_config(path: str | Path) -> RunConfig:
             extractors.append(ExtractorSpec(extractor_id, kind))
         elif kind == LLM:
             model = entry.get("model")
-            template = entry.get("template", "zero-shot")
             if not model:
                 raise ConfigError(f"extractor {extractor_id!r}: llm kind needs a model")
+            profile = registry.get(model)
+            if profile is None:
+                raise ConfigError(f"extractor {extractor_id!r}: unknown model profile {model!r}")
             try:
-                load_template(template)
+                template = load_template(entry.get("template", "zero-shot"))
             except ConfigError as exc:
                 raise ConfigError(f"extractor {extractor_id!r}: {exc}") from None
-            extractors.append(ExtractorSpec(extractor_id, kind, model=model, template=template))
+            extractors.append(ExtractorSpec(extractor_id, kind, profile=profile, template=template))
         elif kind == ENSEMBLE:
+            # EnsembleConfig validates member count, distinctness and priority coverage.
             members = tuple(entry.get("members", ()))
             policy = _parse_policy(entry.get("policy", {}), members)
-            extractors.append(
-                ExtractorSpec(extractor_id, kind, members=members, policy=policy)
-            )
+            ensemble = EnsembleConfig(extractor_id, members, policy)
+            extractors.append(ExtractorSpec(extractor_id, kind, ensemble=ensemble))
         else:
             raise ConfigError(f"extractor {extractor_id!r}: unknown kind {entry.get('kind')!r}")
 
-    declared = {spec.id for spec in extractors}
     for spec in extractors:
-        if spec.kind == ENSEMBLE:
-            dangling = [m for m in spec.members if m not in declared or m == spec.id]
+        if spec.ensemble is not None:
+            dangling = [m for m in spec.ensemble.members if m not in seen_ids or m == spec.id]
             if dangling:
                 raise ConfigError(
                     f"ensemble {spec.id!r} references undeclared members: {dangling}"
                 )
-            # Constructing the EnsembleConfig validates member count,
-            # distinctness, and priority coverage.
-            EnsembleConfig(spec.id, spec.members, spec.policy)
 
     if not data.get("corpus"):
         raise ConfigError("config needs a corpus path")
@@ -199,28 +208,12 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
     return EXIT_OK
 
 
-def _load_predictions(path: Path) -> dict[str, ExtractionRecord]:
-    records: dict[str, ExtractionRecord] = {}
+def _read_predictions(path: Path) -> dict[str, ExtractionRecord]:
+    """A predictions file's records by document id; none when there is no file yet."""
     if not path.exists():
-        return records
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: invalid JSON ({exc.msg})", line=lineno) from None
-            record = ExtractionRecord.from_json(data)
-            records[record.document_id] = record
-    return records
-
-
-def _save_predictions(records: Sequence[ExtractionRecord], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+        return {}
+    records = read_jsonl(path, ExtractionRecord.from_json, unique=attrgetter("document_id"))
+    return {record.document_id: record for record in records}
 
 
 def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
@@ -229,67 +222,59 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     Documents that already have a persisted record are skipped. On transport
     failure the completed records are saved before exiting. The transport is
     built only when a model extractor runs, so rule-based runs need no cache.
+    An ensemble votes from its members' records of this run, and reads a
+    member's predictions file only when ``only`` left that member out.
     """
     docs = load_corpus(config.corpus)
     gazetteer = default_gazetteer()
-    registry = default_registry()
     transport = None
+    records_of: dict[str, dict[str, ExtractionRecord]] = {}
 
-    ordered = [s for s in config.extractors if s.kind != ENSEMBLE] + [
-        s for s in config.extractors if s.kind == ENSEMBLE
-    ]
-    for spec in ordered:
+    # Ensembles run last, so that their members' records of this run exist.
+    for spec in sorted(config.extractors, key=lambda s: s.kind == ENSEMBLE):
         if only and spec.id not in only:
             continue
         path = config.predictions_path(spec.id)
-        existing = _load_predictions(path)
+        existing = _read_predictions(path)
         missing = [doc for doc in docs if doc.id not in existing]
+        failure = None
 
         if spec.kind == RULE_BASED:
-            for doc in missing:
-                existing[doc.id] = annotator.extract_rule_based(
-                    doc, gazetteer, extractor_id=spec.id
-                )
+            new = [
+                annotator.extract_rule_based(doc, gazetteer, extractor_id=spec.id)
+                for doc in missing
+            ]
         elif spec.kind == LLM:
-            profile = registry.get(spec.model)
-            if profile is None:
-                raise ConfigError(f"unknown model profile {spec.model!r}")
-            template = load_template(spec.template)
             if transport is None:
                 transport = config.transport()
             try:
-                records = llm.extract_documents(
-                    missing, profile, template, transport,
+                new = llm.extract_documents(
+                    missing, spec.profile, spec.template, transport,
                     sampling=config.sampling, extractor_id=spec.id,
                     gazetteer=gazetteer, concurrency=config.concurrency,
                 )
             except ExtractionFailed as exc:
-                for record in exc.partial_records:
-                    existing[record.document_id] = record
-                _save_predictions(
-                    [existing[d.id] for d in docs if d.id in existing], path
-                )
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_TRANSPORT
-            for record in records:
-                existing[record.document_id] = record
+                new, failure = exc.partial_records, exc
         else:  # ensemble
-            member_records = {}
-            for member in spec.members:
-                member_path = config.predictions_path(member)
-                member_records[member] = _load_predictions(member_path)
-            ens = EnsembleConfig(spec.id, spec.members, spec.policy)
+            members = spec.ensemble.members
+            for member in [m for m in members if m not in records_of]:
+                records_of[member] = _read_predictions(config.predictions_path(member))
+            new = []
             for doc in missing:
-                try:
-                    votes = [member_records[m][doc.id] for m in spec.members]
-                except KeyError as exc:
+                lacking = [m for m in members if doc.id not in records_of[m]]
+                if lacking:
                     raise ConfigError(
-                        f"ensemble {spec.id!r}: member {exc.args[0]!r} has no record "
+                        f"ensemble {spec.id!r}: members {lacking} have no record "
                         f"for document {doc.id!r}; extract members first"
-                    ) from None
-                existing[doc.id] = ensemble_records(votes, ens)
+                    )
+                votes = [records_of[m][doc.id] for m in members]
+                new.append(ensemble_records(votes, spec.ensemble))
 
-        _save_predictions([existing[d.id] for d in docs if d.id in existing], path)
+        existing.update((record.document_id, record) for record in new)
+        records_of[spec.id] = existing
+        write_jsonl([existing[d.id] for d in docs if d.id in existing], path)
+        if failure is not None:
+            raise failure
         print(f"{spec.id}: {len(existing)} records ({len(missing)} new) -> {path}")
     return EXIT_OK
 
@@ -310,7 +295,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         if not path.exists():
             print(f"error: no predictions for extractor {spec.id!r} at {path}", file=sys.stderr)
             return EXIT_EVALUATION
-        records_by_extractor[spec.id] = list(_load_predictions(path).values())
+        records_by_extractor[spec.id] = list(_read_predictions(path).values())
 
     report = evaluate(
         records_by_extractor,
@@ -338,9 +323,10 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 def cmd_report(report_path: Path, fmt: str, out_path: Path | None = None) -> int:
     """Re-render a stored report into another format."""
-    report = EvaluationReport.from_json(
-        json.loads(report_path.read_text(encoding="utf-8"))
-    )
+    try:
+        report = EvaluationReport.from_json(json.loads(report_path.read_text(encoding="utf-8")))
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{report_path}: not a readable report ({exc})") from None
     rendered = render_report(report, fmt)
     if out_path is not None:
         out_path.write_bytes(rendered)

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
 from html.parser import HTMLParser
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import EmptyInput, SchemaError
 from .normalize import (
@@ -176,10 +178,12 @@ class ExtractionRecord:
             if obj is not None:
                 values[f"{name}_raw"] = obj.get("raw")
                 values[name] = row.decode(obj) if row.tag in obj else None
+        ids = record.get("document_id"), record.get("extractor_id")
+        if not all(isinstance(i, str) and i for i in ids):
+            raise SchemaError("a record needs a document_id and an extractor_id")
         flags = record.get("flags", {})
         return ExtractionRecord(
-            document_id=record["document_id"],
-            extractor_id=record["extractor_id"],
+            *ids,
             parse_failure=flags.get("parse_failure", False),
             truncated_input=flags.get("truncated_input", False),
             field_warnings=tuple(flags.get("field_warnings", ())),
@@ -345,69 +349,82 @@ def with_id(doc: Document, doc_id: str) -> Document:
 # --- persistence -----------------------------------------------------------
 
 
-def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
+def read_jsonl(path: str | Path, decode: Callable[[Mapping], object], unique=None) -> list:
+    """Decode every non-blank line of a JSON-lines file, in order.
+
+    A line that is not a JSON object, that ``decode`` rejects, or whose
+    ``unique(item)`` repeats an earlier line's is a SchemaError naming the
+    file and the line.
+    """
+    items = []
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise SchemaError("not a JSON object")
+                item = decode(data)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: invalid JSON ({exc.msg})", line=lineno) from None
+            except (SchemaError, AttributeError, LookupError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}: {exc}", line=lineno) from None
+            if unique is not None:
+                key = unique(item)
+                if key in seen:
+                    raise SchemaError(f"{path}: duplicate document id {key!r}", line=lineno)
+                seen.add(key)
+            items.append(item)
+    return items
+
+
+def write_jsonl(items: Iterable, path: str | Path) -> None:
+    """Write each item's ``to_json()`` as one line.
+
+    The lines go to a temporary file beside ``path`` that then replaces it,
+    so a failure part-way leaves the previous file whole.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc.to_json(), ensure_ascii=False) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for item in items:
+                fh.write(json.dumps(item.to_json(), ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+save_corpus = save_gold = write_jsonl
 
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Load a line-delimited corpus, preserving order; ids must be unique."""
-    docs: list[Document] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from None
-            try:
-                doc = Document.from_json(record)
-            except SchemaError as exc:
-                raise SchemaError(str(exc), line=lineno) from None
-            if doc.id in seen:
-                raise SchemaError(f"duplicate document id {doc.id!r}", line=lineno)
-            seen.add(doc.id)
-            docs.append(doc)
-    return docs
+    return read_jsonl(path, Document.from_json, unique=attrgetter("id"))
 
 
 def load_gold(path: str | Path) -> list[GoldAnnotation]:
     """Load gold annotations; absent fields must be explicit nulls."""
-    annotations: list[GoldAnnotation] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from None
-            annotations.append(_gold_from_json(record, lineno))
-    return annotations
+    return read_jsonl(path, _gold_from_json)
 
 
-def _gold_from_json(record: Mapping, lineno: int) -> GoldAnnotation:
+def _gold_from_json(record: Mapping) -> GoldAnnotation:
     doc_id = record.get("document_id")
     if not isinstance(doc_id, str) or not doc_id:
-        raise SchemaError("missing document_id", line=lineno)
+        raise SchemaError("missing document_id")
     for key in ("disease", "country", "date"):
         value = record.get(key)
         if value is not None and (not isinstance(value, str) or not value.strip()):
-            raise SchemaError(f"{key} must be null or a non-empty string", line=lineno)
+            raise SchemaError(f"{key} must be null or a non-empty string")
     gold_date = record.get("date")
     if gold_date is not None:
-        try:
-            gold_date = date.fromisoformat(gold_date)
-        except ValueError:
-            raise SchemaError(f"invalid date {record.get('date')!r}", line=lineno) from None
+        gold_date = date.fromisoformat(gold_date)
     count = record.get("count")
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
-        raise SchemaError("count must be null or a non-negative integer", line=lineno)
+        raise SchemaError("count must be null or a non-negative integer")
     return GoldAnnotation(
         document_id=doc_id,
         disease=record.get("disease"),
@@ -415,11 +432,3 @@ def _gold_from_json(record: Mapping, lineno: int) -> GoldAnnotation:
         date=gold_date,
         count=count,
     )
-
-
-def save_gold(annotations: Iterable[GoldAnnotation], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for gold in annotations:
-            fh.write(json.dumps(gold.to_json(), ensure_ascii=False) + "\n")

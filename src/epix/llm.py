@@ -193,6 +193,7 @@ class Sampling:
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
+REQUEST_TIMEOUT_S = 60.0
 
 
 @dataclass
@@ -208,7 +209,6 @@ class Transport:
     cache_dir: Optional[Path] = None
     max_attempts: int = 3
     backoff_base: float = 0.5
-    timeout: float = 60.0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
@@ -226,9 +226,12 @@ class Transport:
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            entry = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise TransportError(f"{path}: corrupt cache entry ({exc.msg})") from None
+        if not isinstance(entry, dict) or "response" not in entry:
+            raise TransportError(f"{path}: corrupt cache entry (no response)")
+        return entry
 
     def write_cached(self, digest: str, request_body: dict, response_body: dict) -> None:
         with self._lock:
@@ -315,7 +318,7 @@ def complete(
             time.sleep(transport.backoff_base * 2 ** (attempt - 1))
         try:
             response = requests.post(
-                model.endpoint, json=request_body, headers=headers, timeout=transport.timeout
+                model.endpoint, json=request_body, headers=headers, timeout=REQUEST_TIMEOUT_S
             )
         except requests.RequestException as exc:
             last_error = exc

@@ -164,22 +164,26 @@ def test_extract_rule_based_needs_no_transport(tmp_path):
     assert len((tmp_path / "out" / "predictions" / "rule.jsonl").read_text().splitlines()) == 3
 
 
-def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys):
-    docs = _small_corpus(tmp_path)
+def _seed_cache(tmp_path, docs, answer):
+    """Replay entries for a zero-shot gpt-4-32k answering ``answer`` to each document."""
     profile = default_registry()["gpt-4-32k"]
     template = load_template("zero-shot")
     transport = Transport(mode=TransportMode.RECORD, cache_dir=tmp_path / "cache")
-    digests = [
-        transport.put(
-            profile,
-            build_messages(doc, template, profile).messages,
-            Sampling(),
-            '{"virus": "Measles", "country": "France", "date": "None", "cases": "None"}',
-        )
+    return [
+        transport.put(profile, build_messages(doc, template, profile).messages, Sampling(), answer)
         for doc in docs
-    ]
+    ], transport
+
+
+@pytest.mark.parametrize("entry", ["{corrupt", '{"digest": "x"}'], ids=["torn", "no-response"])
+def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys, entry):
+    docs = _small_corpus(tmp_path)
+    digests, transport = _seed_cache(
+        tmp_path, docs,
+        '{"virus": "Measles", "country": "France", "date": "None", "cases": "None"}',
+    )
     corrupt = transport.cache_path(digests[-1])
-    corrupt.write_text("{corrupt", encoding="utf-8")
+    corrupt.write_text(entry, encoding="utf-8")
     # One worker takes the documents in order, so the corrupt entry is read last.
     config = _write_config(
         tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "zero-shot"}],
@@ -191,15 +195,47 @@ def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys):
     assert [json.loads(line)["document_id"] for line in lines] == ["d0", "d1"]
 
 
-def test_torn_predictions_line_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "damage, line",
+    [
+        (lambda data: data[:-40], 3),
+        (lambda data: data.replace(b'"document_id": "d1", ', b"", 1), 2),
+        (lambda data: data + data.splitlines(keepends=True)[0], 4),
+    ],
+    ids=["torn", "no-document-id", "repeated-document-id"],
+)
+def test_torn_predictions_line_exits_2(tmp_path, capsys, damage, line):
     config = _extract_and_evaluate(tmp_path)
     predictions = tmp_path / "out" / "predictions" / "rule.jsonl"
-    predictions.write_bytes(predictions.read_bytes()[:-40])
+    predictions.write_bytes(damage(predictions.read_bytes()))
     capsys.readouterr()
     for command in ("evaluate", "extract"):
         assert main(["--config", str(config), command]) == 2, command
         err = capsys.readouterr().err
-        assert str(predictions) in err and "line 3" in err, command
+        assert str(predictions) in err and f"line {line}" in err, command
+
+
+def test_ensemble_votes_alike_from_memory_and_from_member_files(tmp_path):
+    docs = _small_corpus(tmp_path)
+    _seed_cache(
+        tmp_path, docs,
+        '{"virus": "Measles", "country": "Spain", "date": "2 March 2019", "cases": "None"}',
+    )
+    config = _write_config(
+        tmp_path,
+        [
+            {"id": "rule", "kind": "rule_based"},
+            {"id": "m", "kind": "llm", "model": "gpt-4-32k"},
+            {"id": "ens", "kind": "ensemble", "members": ["rule", "m"]},
+        ],
+    )
+    full = tmp_path / "full"
+    assert main(["--config", str(config), "--output", str(full), "extract"]) == 0
+    assert main(["--config", str(config), "extract", "--only", "rule", "--only", "m"]) == 0
+    ensemble = tmp_path / "out" / "predictions" / "ens.jsonl"
+    assert not ensemble.exists()
+    assert main(["--config", str(config), "extract", "--only", "ens"]) == 0
+    assert ensemble.read_bytes() == (full / "predictions" / "ens.jsonl").read_bytes()
 
 
 def test_loading_a_config_does_not_import_requests(tmp_path):
@@ -218,12 +254,19 @@ def test_loading_a_config_does_not_import_requests(tmp_path):
     assert done.stdout.strip() == "False"
 
 
-def test_extract_unknown_model_exits_2(tmp_path):
+def test_extract_unknown_model_exits_2(tmp_path, capsys):
     _small_corpus(tmp_path)
     config = _write_config(
-        tmp_path, [{"id": "m", "kind": "llm", "model": "mystery-13b", "template": "zero-shot"}]
+        tmp_path,
+        [
+            {"id": "rule", "kind": "rule_based"},
+            {"id": "m", "kind": "llm", "model": "mystery-13b", "template": "zero-shot"},
+        ],
     )
     assert main(["--config", str(config), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "mystery-13b" in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- evaluate and report -----------------------------------------------------------
@@ -283,6 +326,50 @@ def test_report_format_conversions(tmp_path, capsys):
     rc = main(["report", str(report_path), "--format", "csv", "--out", str(out_file)])
     assert rc == 0
     assert out_file.read_bytes() == (tmp_path / "out" / "report.csv").read_bytes()
+
+
+def _edited_config(edit):
+    def make(tmp_path):
+        path = _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}])
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+        return path, ["--config", str(path), "extract"]
+
+    return make
+
+
+def _torn_report(tmp_path):
+    _extract_and_evaluate(tmp_path)
+    report = tmp_path / "out" / "report.json"
+    report.write_bytes(report.read_bytes()[:-40])
+    return report, ["report", str(report)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _edited_config(lambda c: {**c, "match_mode": "fuzzy"}),
+        _edited_config(lambda c: {**c, "transport": {"mode": "psychic"}}),
+        _edited_config(
+            lambda c: {
+                **c,
+                "extractors": [
+                    {"id": "a", "kind": "rule_based"},
+                    {"id": "b", "kind": "rule_based"},
+                    {"id": "ab", "kind": "ensemble", "members": ["a", "b"],
+                     "policy": {"tie_break": "coin_flip"}},
+                ],
+            }
+        ),
+        _edited_config(lambda c: [c]),
+        _torn_report,
+    ],
+    ids=["match-mode", "transport-mode", "tie-break", "top-level-list", "torn-report"],
+)
+def test_bad_config_value_or_report_exits_2_naming_the_file(tmp_path, capsys, make):
+    named, argv = make(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(named) in capsys.readouterr().err
 
 
 def test_commands_require_config(capsys):

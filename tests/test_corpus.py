@@ -17,6 +17,7 @@ from epix.corpus import (
     save_corpus,
     save_gold,
     strip_markup,
+    write_jsonl,
 )
 from epix.errors import EmptyInput, SchemaError
 
@@ -140,6 +141,20 @@ def test_corpus_duplicate_ids_rejected(tmp_path):
     save_corpus([_docs()[0], _docs()[0]], path)
     with pytest.raises(SchemaError, match="duplicate"):
         load_corpus(path)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    class Unwritable:
+        def to_json(self):
+            raise RuntimeError("cannot encode")
+
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(_docs(), path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_jsonl([_docs()[0], Unwritable()], path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_empty_corpus_file(tmp_path):
