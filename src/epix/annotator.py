@@ -72,29 +72,31 @@ def annotate_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
     """Longest-match scan of the body for gazetteer surface forms.
 
     A match consumes its tokens, so shorter overlapping surfaces ("Ebola"
-    inside "Ebola virus disease") are suppressed.
+    inside "Ebola virus disease") are suppressed. From each token the
+    candidate key grows one token at a time only while it is still a word
+    prefix of some gazetteer key, and the longest full key seen wins.
     """
     body = doc.body
     tokens = [(m.start(), m.end(), fold(m.group())) for m in _TOKEN_RE.finditer(body)]
+    prefixes = gazetteer.key_prefixes
     spans: list[EntitySpan] = []
-    limit = gazetteer.max_surface_tokens
     i = 0
     while i < len(tokens):
-        matched = False
-        for n in range(min(limit, len(tokens) - i), 0, -1):
-            key = " ".join(tok[2] for tok in tokens[i : i + n])
-            entry = gazetteer.resolve_key(key)
-            if entry is not None:
-                start = tokens[i][0]
-                end = tokens[i + n - 1][1]
-                spans.append(
-                    EntitySpan(entry.cls, start, end, body[start:end], entry.canonical_id)
-                )
-                i += n
-                matched = True
+        key, j, entry = tokens[i][2], i, None
+        while key in prefixes:
+            hit = gazetteer.resolve_key(key)
+            if hit is not None:
+                entry, last = hit, j
+            j += 1
+            if j == len(tokens):
                 break
-        if not matched:
+            key = f"{key} {tokens[j][2]}"
+        if entry is None:
             i += 1
+            continue
+        start, end = tokens[i][0], tokens[last][1]
+        spans.append(EntitySpan(entry.cls, start, end, body[start:end], entry.canonical_id))
+        i = last + 1
     return spans
 
 

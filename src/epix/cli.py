@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -91,11 +92,32 @@ class RunConfig:
         )
 
 
+def _number(
+    section: dict, name: str, default: float, *, integer: bool, minimum: float | None = None
+) -> float:
+    """The config value ``name`` (``section.key``) checked to be a number, never a bool.
+
+    An integer when ``integer``; a float must be finite.
+    """
+    value = section.get(name.rpartition(".")[2], default)
+    ok = (
+        isinstance(value, int if integer else (int, float))
+        and not isinstance(value, bool)
+        and (isinstance(value, int) or math.isfinite(value))
+        and (minimum is None or value >= minimum)
+    )
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
+    return value
+
+
 def _parse_policy(data: dict, members: Sequence[str]) -> VotePolicy:
     tie_break = TieBreak(data.get("tie_break", "priority_order").upper())
     priority = tuple(data.get("priority", members))
     return VotePolicy(
-        min_agreement=data.get("min_agreement", 2),
+        min_agreement=_number(data, "policy.min_agreement", 2, integer=True, minimum=1),
         tie_break=tie_break,
         priority=priority,
     )
@@ -171,12 +193,12 @@ def _parse_run_config(data) -> RunConfig:
         match_mode=MatchMode(str(data.get("match_mode", "strict_value")).upper()),
         transport_mode=mode,
         cache_dir=Path(cache_dir) if cache_dir else None,
-        max_attempts=transport.get("max_attempts", 3),
-        backoff_base=transport.get("backoff_base", 0.5),
-        concurrency=data.get("concurrency", 4),
+        max_attempts=_number(transport, "transport.max_attempts", 3, integer=True, minimum=1),
+        backoff_base=_number(transport, "transport.backoff_base", 0.5, integer=False, minimum=0),
+        concurrency=_number(data, "concurrency", 4, integer=True, minimum=1),
         sampling=Sampling(
-            temperature=sampling.get("temperature", 0.0),
-            max_tokens=sampling.get("max_tokens", 512),
+            temperature=_number(sampling, "sampling.temperature", 0.0, integer=False),
+            max_tokens=_number(sampling, "sampling.max_tokens", 512, integer=True, minimum=1),
         ),
     )
 
@@ -392,6 +414,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_INPUT
         config = _apply_overrides(load_run_config(args.config), args)
         if args.command == "extract":
+            ids = {spec.id for spec in config.extractors}
+            unknown = [extractor_id for extractor_id in args.only or () if extractor_id not in ids]
+            if unknown:
+                raise ConfigError(f"{args.config}: --only names no configured extractor: {unknown}")
             return cmd_extract(config, only=args.only)
         if args.command == "evaluate":
             return cmd_evaluate(config)

@@ -11,7 +11,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .errors import SchemaError
 
@@ -27,6 +27,9 @@ _SCAN_STOPLIST = frozenset({"us"})
 
 def fold(text: str) -> str:
     """Reduce text to a matching key: casefold, strip accents and punctuation."""
+    if text.isascii() and text.isalnum():
+        # Nothing to decompose, strip or split: the slow path would only lower it.
+        return text.lower()
     decomposed = unicodedata.normalize("NFKD", text.casefold())
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     cleaned = "".join(ch if ch.isalnum() else " " for ch in stripped)
@@ -46,7 +49,7 @@ class Gazetteer:
     def __init__(self, rows: Iterable[tuple[str, str, str, str]] = ()):
         self._by_surface: dict[str, GazetteerEntry] = {}
         self._display: dict[str, str] = {}
-        self._max_tokens = 1
+        self._prefixes: set[str] = set()
         for cls, canonical_id, display_name, surface in rows:
             self.add(cls, canonical_id, display_name, surface)
 
@@ -65,7 +68,8 @@ class Gazetteer:
             )
         self._by_surface[key] = entry
         self._display.setdefault(canonical_id, display_name)
-        self._max_tokens = max(self._max_tokens, len(key.split()))
+        words = key.split(" ")
+        self._prefixes.update(" ".join(words[:n]) for n in range(1, len(words) + 1))
 
     def resolve(self, surface: str) -> GazetteerEntry | None:
         """Look up one surface form; None when unknown."""
@@ -79,9 +83,13 @@ class Gazetteer:
         return self._display[canonical_id]
 
     @property
-    def max_surface_tokens(self) -> int:
-        """Longest surface form, in folded tokens; bounds the scan window."""
-        return self._max_tokens
+    def key_prefixes(self) -> AbstractSet[str]:
+        """Every whole-word prefix of every folded key, the keys themselves included.
+
+        A scan can stop growing a candidate key as soon as it leaves this set:
+        no longer candidate can then be a key.
+        """
+        return self._prefixes
 
     def __len__(self) -> int:
         return len(self._by_surface)

@@ -1,9 +1,12 @@
+import unicodedata
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from epix.annotator import (
+    _TOKEN_RE,
+    EntitySpan,
     annotate_counts,
     annotate_dates,
     annotate_entities,
@@ -11,9 +14,16 @@ from epix.annotator import (
     filter_key_entities,
     KeyEntitySet,
 )
-from epix.corpus import Document, Source
+from epix.corpus import Document, Source, parse_don_article, parse_promed_post
 from epix.errors import SchemaError
-from epix.gazetteer import COUNTRY, DISEASE, Gazetteer, load_gazetteer
+from epix.gazetteer import (
+    COUNTRY,
+    DISEASE,
+    Gazetteer,
+    default_gazetteer,
+    fold,
+    load_gazetteer,
+)
 from epix.normalize import CaseCount, CountAttribute
 
 
@@ -60,7 +70,88 @@ def test_gazetteer_rejects_conflicting_surfaces():
         gaz.add(DISEASE, "b", "B", "a")
 
 
+def _fold_reference(text):
+    """``fold`` without its ASCII shortcut: the full NFKD path for every input."""
+    decomposed = unicodedata.normalize("NFKD", text.casefold())
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    cleaned = "".join(ch if ch.isalnum() else " " for ch in stripped)
+    return " ".join(cleaned.split())
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(st.characters(max_codepoint=127)),
+        st.text(st.sampled_from("aZ09_- \t½ﬁÉéİßǅΣ")),
+    )
+)
+def test_fold_fast_path_matches_full_fold(text):
+    assert fold(text) == _fold_reference(text)
+
+
 # --- entity annotation ---------------------------------------------------------
+
+
+def _window_scan(body, gazetteer):
+    """The scan the prefix walk replaced, kept as its oracle.
+
+    From each token, try every window of up to as many tokens as the longest
+    key has words, longest first; a match consumes its tokens.
+    """
+    limit = max(len(key.split()) for key in gazetteer._by_surface)
+    tokens = [(m.start(), m.end(), _fold_reference(m.group())) for m in _TOKEN_RE.finditer(body)]
+    spans = []
+    i = 0
+    while i < len(tokens):
+        for n in range(min(limit, len(tokens) - i), 0, -1):
+            entry = gazetteer.resolve_key(" ".join(tok[2] for tok in tokens[i : i + n]))
+            if entry is not None:
+                start, end = tokens[i][0], tokens[i + n - 1][1]
+                spans.append(EntitySpan(entry.cls, start, end, body[start:end], entry.canonical_id))
+                i += n
+                break
+        else:
+            i += 1
+    return spans
+
+
+_GAZETTEER = default_gazetteer()
+# Folded keys and display names (with their accents and punctuation).
+_SURFACES = sorted(set(_GAZETTEER._by_surface) | {e.display_name for e in _GAZETTEER.entries()})
+# Tokens that fold to nothing, to several words, or differently under NFKD.
+_EDGE_TOKENS = ["_", "__", "a_b", "x_", "½", "ﬁ", "É", "us", "US"]
+_FILLER = ["in", "the", "virus", "disease", "fever", "cases", "of", "and", "42", "2019"]
+_SEPARATORS = [" ", "_", "-", ", "]
+
+
+@st.composite
+def _mention_bodies(draw):
+    parts = []
+    for piece in draw(
+        st.lists(st.sampled_from(_SURFACES + _FILLER + _EDGE_TOKENS), max_size=24)
+    ):
+        case = draw(st.sampled_from([str, str.upper, str.lower, str.title, str.swapcase]))
+        parts += [case(piece), draw(st.sampled_from(_SEPARATORS))]
+    return "".join(parts)
+
+
+@settings(max_examples=500)
+@given(_mention_bodies())
+def test_prefix_scan_matches_window_oracle(body):
+    assert annotate_entities(_doc(body), _GAZETTEER) == _window_scan(body, _GAZETTEER)
+
+
+def test_prefix_scan_matches_window_oracle_on_fixtures(fixtures_dir):
+    def texts(folder):
+        return [p.read_text(encoding="utf-8") for p in sorted((fixtures_dir / folder).iterdir())]
+
+    docs = [parse_promed_post(raw) for raw in texts("e2e/raw")]
+    docs += [parse_don_article(raw, url="") for raw in texts("don")]
+    assert len(docs) == 15
+    for doc in docs:
+        spans = annotate_entities(doc, _GAZETTEER)
+        assert spans and spans == _window_scan(doc.body, _GAZETTEER)
 
 
 def test_longest_match_wins(gazetteer):

@@ -269,6 +269,72 @@ def test_extract_unknown_model_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _rule_and_model_config(tmp_path, **extra):
+    _small_corpus(tmp_path)
+    return _write_config(
+        tmp_path,
+        [
+            {"id": "rule", "kind": "rule_based"},
+            {"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "zero-shot"},
+        ],
+        **extra,
+    )
+
+
+def test_extract_only_unknown_id_exits_2(tmp_path, capsys):
+    config = _rule_and_model_config(tmp_path)
+    argv = ["--config", str(config), "extract", "--only", "rule", "--only", "ghost"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "ghost" in err
+    assert not (tmp_path / "out").exists()
+
+
+# Config sections the numbers below live in, with their other keys.
+_SECTIONS = {"transport": {"mode": "replay", "cache_dir": "cache"}, "sampling": {}}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("concurrency", "x"),
+        ("concurrency", 0),
+        ("concurrency", True),
+        ("concurrency", 2.0),
+        ("transport.max_attempts", 0),
+        ("transport.max_attempts", "3"),
+        ("transport.backoff_base", -0.5),
+        ("transport.backoff_base", False),
+        ("transport.backoff_base", float("nan")),
+        ("sampling.temperature", "hot"),
+        ("sampling.temperature", True),
+        ("sampling.max_tokens", 0),
+        ("sampling.max_tokens", 256.0),
+    ],
+)
+def test_bad_number_in_config_exits_2_before_any_write(tmp_path, capsys, key, value):
+    section, _, name = key.rpartition(".")
+    extra = {section: {**_SECTIONS[section], name: value}} if section else {name: value}
+    config = _rule_and_model_config(tmp_path, **extra)
+    assert main(["--config", str(config), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_good_numbers_in_config_load(tmp_path):
+    config = load_run_config(
+        _rule_and_model_config(
+            tmp_path,
+            concurrency=1,
+            transport={**_SECTIONS["transport"], "max_attempts": 1, "backoff_base": 0},
+            sampling={"temperature": 0.7, "max_tokens": 1},
+        )
+    )
+    assert (config.concurrency, config.max_attempts, config.backoff_base) == (1, 1, 0)
+    assert config.sampling == Sampling(temperature=0.7, max_tokens=1)
+
+
 # --- evaluate and report -----------------------------------------------------------
 
 
@@ -360,10 +426,21 @@ def _torn_report(tmp_path):
                 ],
             }
         ),
+        _edited_config(
+            lambda c: {
+                **c,
+                "extractors": [
+                    {"id": "a", "kind": "rule_based"},
+                    {"id": "b", "kind": "rule_based"},
+                    {"id": "ab", "kind": "ensemble", "members": ["a", "b"],
+                     "policy": {"min_agreement": 1.5}},
+                ],
+            }
+        ),
         _edited_config(lambda c: [c]),
         _torn_report,
     ],
-    ids=["match-mode", "transport-mode", "tie-break", "top-level-list", "torn-report"],
+    ids=["match-mode", "transport-mode", "tie-break", "min-agreement", "top-level-list", "torn-report"],
 )
 def test_bad_config_value_or_report_exits_2_naming_the_file(tmp_path, capsys, make):
     named, argv = make(tmp_path)
