@@ -73,6 +73,7 @@ from .normalize import (
     CountAttribute,
     CountryCode,
     IsoDate,
+    comparison_key,
     normalize_country,
     normalize_date,
     normalize_disease,

@@ -29,6 +29,7 @@ from .corpus import (
     read_jsonl,
     save_corpus,
     with_id,
+    write_atomic,
     write_jsonl,
 )
 from .ensemble import EnsembleConfig, TieBreak, VotePolicy, ensemble_records
@@ -42,7 +43,7 @@ from .errors import (
     SchemaError,
     TransportError,
 )
-from .evaluation import MatchMode, EvaluationReport, evaluate, render_report
+from .evaluation import REPORT_FORMATS, EvaluationReport, MatchMode, evaluate, render_report
 from .gazetteer import default_gazetteer
 from .llm import Sampling, Transport, TransportMode, default_registry, load_template
 
@@ -328,16 +329,10 @@ def cmd_evaluate(config: RunConfig) -> int:
     )
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-    for fmt, filename in (
-        ("table", "report.txt"),
-        ("csv", "report.csv"),
-        ("jsonl", "report.jsonl"),
-        ("plot", "report_plot.csv"),
-    ):
-        (out / filename).write_bytes(render_report(report, fmt))
+    text = json.dumps(report.to_json(), ensure_ascii=False, indent=2) + "\n"
+    write_atomic(out / "report.json", [text.encode("utf-8")])
+    for fmt, filename in REPORT_FORMATS.items():
+        write_atomic(out / filename, [render_report(report, fmt)])
     print(f"evaluated {len(records_by_extractor)} extractors over {len(golds)} gold documents")
     print(f"reports written to {out}")
     return EXIT_OK
@@ -347,11 +342,11 @@ def cmd_report(report_path: Path, fmt: str, out_path: Path | None = None) -> int
     """Re-render a stored report into another format."""
     try:
         report = EvaluationReport.from_json(json.loads(report_path.read_text(encoding="utf-8")))
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (SchemaError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise SchemaError(f"{report_path}: not a readable report ({exc})") from None
     rendered = render_report(report, fmt)
     if out_path is not None:
-        out_path.write_bytes(rendered)
+        write_atomic(out_path, [rendered])
         print(f"wrote {out_path}")
     else:
         sys.stdout.write(rendered.decode("utf-8"))
@@ -387,9 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser("report", help="re-render an existing report")
     report.add_argument("report_path", type=Path)
-    report.add_argument(
-        "--format", default="table", choices=["table", "csv", "jsonl", "plot"]
-    )
+    report.add_argument("--format", default="table", choices=list(REPORT_FORMATS))
     report.add_argument("--out", type=Path, default=None)
     return parser
 

@@ -380,22 +380,30 @@ def read_jsonl(path: str | Path, decode: Callable[[Mapping], object], unique=Non
     return items
 
 
-def write_jsonl(items: Iterable, path: str | Path) -> None:
-    """Write each item's ``to_json()`` as one line.
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a temporary file beside ``path`` that then replaces it.
 
-    The lines go to a temporary file beside ``path`` that then replaces it,
-    so a failure part-way leaves the previous file whole.
+    A failure part-way leaves the previous file whole and no temporary file.
+    The directory must exist.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for item in items:
-                fh.write(json.dumps(item.to_json(), ensure_ascii=False) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(items: Iterable, path: str | Path) -> None:
+    """Write each item's ``to_json()`` as one line, atomically (see write_atomic)."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(
+        path,
+        ((json.dumps(item.to_json(), ensure_ascii=False) + "\n").encode("utf-8") for item in items),
+    )
 
 
 save_corpus = save_gold = write_jsonl

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .corpus import ExtractionRecord
 from .errors import ConfigError
-from .normalize import FIELDS, values_match
+from .normalize import FIELDS, comparison_key
 
 
 class TieBreak(str, Enum):
@@ -54,28 +54,24 @@ def _winning_group(
 ) -> list[int] | None:
     """Indices of the winning candidate group, or None when the vote abstains.
 
-    Absent candidates form their own group, so an absence majority wins like
-    any value. A winning group must reach min_agreement; among equally large
-    maximal groups PRIORITY_ORDER picks the one holding the highest-priority
-    member's value, ABSTAIN gives up.
+    Candidates with equal comparison keys form one group; absent candidates
+    form their own, so an absence majority wins like any value. A winning
+    group must reach min_agreement; among equally large maximal groups
+    PRIORITY_ORDER picks the one holding the highest-priority member's
+    value, ABSTAIN gives up.
     """
     if members is not None and len(members) != len(candidates):
         raise ConfigError(
             f"{len(candidates)} candidates for {len(members)} members"
         )
-    groups: list[tuple[object, list[int]]] = []
+    groups: dict[object, list[int]] = {}
     for idx, value in enumerate(candidates):
-        for representative, indices in groups:
-            if values_match(field_name, value, representative):
-                indices.append(idx)
-                break
-        else:
-            groups.append((value, [idx]))
+        groups.setdefault(comparison_key(field_name, value), []).append(idx)
 
-    best_size = max(len(indices) for _, indices in groups)
+    best_size = max(len(indices) for indices in groups.values())
     if best_size < policy.min_agreement:
         return None
-    top = [indices for _, indices in groups if len(indices) == best_size]
+    top = [indices for indices in groups.values() if len(indices) == best_size]
     if len(top) == 1:
         return top[0]
     if policy.tie_break is TieBreak.ABSTAIN:

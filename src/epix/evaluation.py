@@ -8,15 +8,17 @@ extractor and field, from which Precision, Recall, and F1 follow.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .corpus import ExtractionRecord, GoldAnnotation
-from .errors import AlignmentError, EmptyReport
+from .errors import AlignmentError, EmptyReport, SchemaError
 from .normalize import FIELDS, values_match
 
 
@@ -45,14 +47,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def add(self, outcome: Outcome) -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + (outcome is Outcome.TP),
-            self.fp + (outcome is Outcome.FP),
-            self.fn + (outcome is Outcome.FN),
-            self.tn + (outcome is Outcome.TN),
-        )
-
 
 @dataclass(frozen=True)
 class MetricTriple:
@@ -79,16 +73,16 @@ def classify_pair(gold, pred, field: str, mode: MatchMode) -> Outcome:
     return Outcome.TP if values_match(field, gold, pred) else Outcome.FP
 
 
-def accumulate_confusion(
+def _tally(
     golds: Sequence[GoldAnnotation],
     preds: Sequence[ExtractionRecord],
-    field: str,
+    fields: Sequence[str],
     mode: MatchMode,
-) -> ConfusionCounts:
-    """Tally classify_pair outcomes over gold documents.
+) -> dict[str, ConfusionCounts]:
+    """Per field, classify_pair outcomes over the gold documents, in one aligned walk.
 
     Every gold document must have exactly one prediction record (whose field
-    value may be absent); predictions for documents outside the gold set are
+    values may be absent); predictions for documents outside the gold set are
     ignored, so a full-corpus prediction file can be scored on a subset.
     """
     by_id: dict[str, ExtractionRecord] = {}
@@ -97,7 +91,7 @@ def accumulate_confusion(
             raise AlignmentError(f"duplicate prediction for document {record.document_id!r}")
         by_id[record.document_id] = record
 
-    counts = ConfusionCounts()
+    outcomes = {field: Counter() for field in fields}
     seen: set[str] = set()
     for gold in golds:
         if gold.document_id in seen:
@@ -106,11 +100,30 @@ def accumulate_confusion(
         record = by_id.get(gold.document_id)
         if record is None:
             raise AlignmentError(f"no prediction for gold document {gold.document_id!r}")
-        outcome = classify_pair(
-            gold.value(field), record.normalized_value(field), field, mode
-        )
-        counts = counts.add(outcome)
-    return counts
+        for field in fields:
+            outcome = classify_pair(
+                gold.value(field), record.normalized_value(field), field, mode
+            )
+            outcomes[field][outcome] += 1
+    # Outcome lists TP, FP, FN, TN in the order of the ConfusionCounts fields.
+    return {
+        field: ConfusionCounts(*(counter[outcome] for outcome in Outcome))
+        for field, counter in outcomes.items()
+    }
+
+
+def accumulate_confusion(
+    golds: Sequence[GoldAnnotation],
+    preds: Sequence[ExtractionRecord],
+    field: str,
+    mode: MatchMode,
+) -> ConfusionCounts:
+    """Tally classify_pair outcomes of one field over gold documents.
+
+    The one-field case of what ``evaluate`` tallies, with the same alignment
+    rules and errors.
+    """
+    return _tally(golds, preds, (field,), mode)[field]
 
 
 def precision(c: ConfusionCounts) -> float:
@@ -158,42 +171,32 @@ class EvaluationReport:
     timestamp: Optional[str] = None
 
     def to_json(self) -> dict:
+        cells: dict[str, dict[str, dict]] = {}
+        for row in _rows(self):
+            extractor, field = row.pop("extractor"), row.pop("field")
+            cells.setdefault(extractor, {})[field] = row
         return {
             "mode": self.mode.value,
             "gold_path": self.gold_path,
             "corpus_digest": self.corpus_digest,
             "timestamp": self.timestamp,
             "extractors": list(self.extractors),
-            "cells": {
-                extractor: {
-                    field: {
-                        "tp": cell.counts.tp,
-                        "fp": cell.counts.fp,
-                        "fn": cell.counts.fn,
-                        "tn": cell.counts.tn,
-                        "precision": cell.metrics.precision,
-                        "recall": cell.metrics.recall,
-                        "f1": cell.metrics.f1,
-                    }
-                    for field, cell in fields.items()
-                }
-                for extractor, fields in self.cells.items()
-            },
+            "cells": cells,
         }
 
     @staticmethod
     def from_json(data: Mapping) -> "EvaluationReport":
-        cells = {}
-        for extractor, fields in data["cells"].items():
-            cells[extractor] = {}
-            for field, cell in fields.items():
-                counts = ConfusionCounts(cell["tp"], cell["fp"], cell["fn"], cell["tn"])
-                metrics = MetricTriple(cell["precision"], cell["recall"], cell["f1"])
-                cells[extractor][field] = ReportCell(counts, metrics)
+        """Read what to_json wrote; every extractor needs a valid cell for every field."""
+        extractors = tuple(data["extractors"])
         return EvaluationReport(
             mode=MatchMode(data["mode"]),
-            extractors=tuple(data["extractors"]),
-            cells=cells,
+            extractors=extractors,
+            cells={
+                extractor: {
+                    field: _cell_from_json(data["cells"], extractor, field) for field in FIELDS
+                }
+                for extractor in extractors
+            },
             gold_path=data.get("gold_path"),
             corpus_digest=data.get("corpus_digest"),
             timestamp=data.get("timestamp"),
@@ -213,10 +216,8 @@ def evaluate(
         timestamp = datetime.now(timezone.utc).isoformat()
     cells: dict[str, dict[str, ReportCell]] = {}
     for extractor, records in records_by_extractor.items():
-        cells[extractor] = {}
-        for field in FIELDS:
-            counts = accumulate_confusion(golds, records, field, mode)
-            cells[extractor][field] = ReportCell(counts, metric_triple(counts))
+        counts = _tally(golds, records, FIELDS, mode)
+        cells[extractor] = {field: ReportCell(c, metric_triple(c)) for field, c in counts.items()}
     return EvaluationReport(
         mode=mode,
         extractors=tuple(records_by_extractor),
@@ -227,92 +228,85 @@ def evaluate(
     )
 
 
-REPORT_FORMATS = ("table", "csv", "jsonl", "plot")
-_CSV_HEADER = ["extractor", "field", "tp", "fp", "fn", "tn", "precision", "recall", "f1"]
+# Every rendered format and the file `epix evaluate` writes it to.
+REPORT_FORMATS = {
+    "table": "report.txt",
+    "csv": "report.csv",
+    "jsonl": "report.jsonl",
+    "plot": "report_plot.csv",
+}
+_COUNTS = tuple(f.name for f in dataclasses.fields(ConfusionCounts))
+_METRICS = tuple(f.name for f in dataclasses.fields(MetricTriple))
+_CSV_HEADER = ["extractor", "field", *_COUNTS, *_METRICS]
+
+
+def _rows(report: EvaluationReport):
+    """The report as one row per extractor and field, keyed by _CSV_HEADER in its order."""
+    for extractor in report.extractors:
+        for field in FIELDS:
+            cell = report.cells[extractor][field]
+            yield {
+                "extractor": extractor,
+                "field": field,
+                **{name: getattr(cell.counts, name) for name in _COUNTS},
+                **{name: getattr(cell.metrics, name) for name in _METRICS},
+            }
+
+
+def _cell_from_json(cells: Mapping, extractor: str, field: str) -> ReportCell:
+    """The cell of report.json's ``cells`` for one extractor and field, checked."""
+    where = f"cell {extractor!r}/{field}"
+    try:
+        values = cells[extractor][field]
+        counts = [values[name] for name in _COUNTS]
+        metrics = [values[name] for name in _METRICS]
+    except LookupError as exc:
+        raise SchemaError(f"{where}: missing {exc}") from None
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in counts):
+        raise SchemaError(f"{where}: counts must be integers >= 0, got {counts}")
+    if not all(isinstance(m, (int, float)) and not isinstance(m, bool) for m in metrics):
+        raise SchemaError(f"{where}: metrics must be numbers, got {metrics}")
+    return ReportCell(ConfusionCounts(*counts), MetricTriple(*metrics))
 
 
 def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def _rows(report: EvaluationReport):
-    for extractor in report.extractors:
-        for field in FIELDS:
-            cell = report.cells[extractor][field]
-            yield extractor, field, cell
+def _text(row: Mapping) -> list[str]:
+    """A row as the text formats print it: metrics to 3 decimals, the rest as is."""
+    return [_fmt(value) if name in _METRICS else str(value) for name, value in row.items()]
 
 
 def render_report(report: EvaluationReport, fmt: str) -> bytes:
     """Render a report as an aligned table, CSV, JSONL rows, or plot series."""
     if not report.extractors:
         raise EmptyReport("report has no extractors")
+    rows = list(_rows(report))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
-        for extractor, field, cell in _rows(report):
-            writer.writerow(
-                [
-                    extractor, field,
-                    cell.counts.tp, cell.counts.fp, cell.counts.fn, cell.counts.tn,
-                    _fmt(cell.metrics.precision), _fmt(cell.metrics.recall),
-                    _fmt(cell.metrics.f1),
-                ]
-            )
-        return buffer.getvalue().encode("utf-8")
-    if fmt == "jsonl":
-        lines = []
-        for extractor, field, cell in _rows(report):
-            lines.append(
-                json.dumps(
-                    {
-                        "extractor": extractor,
-                        "field": field,
-                        "tp": cell.counts.tp,
-                        "fp": cell.counts.fp,
-                        "fn": cell.counts.fn,
-                        "tn": cell.counts.tn,
-                        "precision": round(cell.metrics.precision, 3),
-                        "recall": round(cell.metrics.recall, 3),
-                        "f1": round(cell.metrics.f1, 3),
-                    },
-                    ensure_ascii=False,
-                )
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "plot":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerows(_text(row) for row in rows)
+    elif fmt == "jsonl":
+        for row in rows:
+            rounded = {name: round(v, 3) if name in _METRICS else v for name, v in row.items()}
+            buffer.write(json.dumps(rounded, ensure_ascii=False) + "\n")
+    elif fmt == "plot":
         writer.writerow(["extractor", "field", "metric", "value"])
-        for extractor, field, cell in _rows(report):
-            for metric, value in (
-                ("precision", cell.metrics.precision),
-                ("recall", cell.metrics.recall),
-                ("f1", cell.metrics.f1),
-            ):
-                writer.writerow([extractor, field, metric, _fmt(value)])
-        return buffer.getvalue().encode("utf-8")
-    if fmt == "table":
-        rows = [
-            [
-                extractor, field,
-                str(cell.counts.tp), str(cell.counts.fp), str(cell.counts.fn),
-                str(cell.counts.tn),
-                _fmt(cell.metrics.precision), _fmt(cell.metrics.recall),
-                _fmt(cell.metrics.f1),
-            ]
-            for extractor, field, cell in _rows(report)
-        ]
+        for row in rows:
+            for metric in _METRICS:
+                writer.writerow([row["extractor"], row["field"], metric, _fmt(row[metric])])
+    elif fmt == "table":
+        texts = [_text(row) for row in rows]
         widths = [
-            max(len(header), *(len(row[i]) for row in rows))
+            max(len(header), *(len(text[i]) for text in texts))
             for i, header in enumerate(_CSV_HEADER)
         ]
-        lines = [
-            f"# mode={report.mode.value}"
-            + (f" gold={report.gold_path}" if report.gold_path else ""),
-            "  ".join(h.ljust(widths[i]) for i, h in enumerate(_CSV_HEADER)).rstrip(),
-        ]
-        for row in rows:
-            lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(row)).rstrip())
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}")
+        gold = f" gold={report.gold_path}" if report.gold_path else ""
+        buffer.write(f"# mode={report.mode.value}{gold}\n")
+        for text in [_CSV_HEADER, *texts]:
+            buffer.write("  ".join(v.ljust(w) for v, w in zip(text, widths)).rstrip() + "\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return buffer.getvalue().encode("utf-8")

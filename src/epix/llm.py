@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import Document, ExtractionRecord
+from .corpus import Document, ExtractionRecord, write_atomic
 from .errors import (
     AuthError,
     BudgetExhausted,
@@ -234,13 +234,12 @@ class Transport:
         return entry
 
     def write_cached(self, digest: str, request_body: dict, response_body: dict) -> None:
+        entry = {"digest": digest, "request": request_body, "response": response_body}
+        text = json.dumps(entry, ensure_ascii=False, indent=2) + "\n"
         with self._lock:
             path = self.cache_path(digest)
             path.parent.mkdir(parents=True, exist_ok=True)
-            entry = {"digest": digest, "request": request_body, "response": response_body}
-            path.write_text(
-                json.dumps(entry, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-            )
+            write_atomic(path, [text.encode("utf-8")])
 
     def put(
         self,

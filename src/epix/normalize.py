@@ -366,7 +366,20 @@ FIELD_TABLE = {row.name: row for row in (
 FIELDS = tuple(FIELD_TABLE)
 
 
-def _comparison_key(row: Field, value, gazetteer: Gazetteer | None):
+def comparison_key(field: str, value, gazetteer: Gazetteer | None = None):
+    """What field-aware equality judges a value on; None for an absent value.
+
+    Diseases compare by canonical id, countries by alpha-3 code, dates by
+    exact day, counts by integer value (the approximate flag and the
+    case/death attribute are ignored). Raw strings are coerced through the
+    field's normalizer first, so "EVD" and "Ebola virus disease" get the
+    same key; a string the normalizer cannot resolve keys on its folded text.
+    """
+    row = FIELD_TABLE.get(field)
+    if row is None:
+        raise ValueError(f"unknown field {field!r}")
+    if value is None:
+        return None
     if isinstance(value, str):
         resolved = row.normalize(value, gazetteer)
         if resolved is None:
@@ -377,17 +390,5 @@ def _comparison_key(row: Field, value, gazetteer: Gazetteer | None):
 
 
 def values_match(field: str, a, b, gazetteer: Gazetteer | None = None) -> bool:
-    """Field-aware equality of two normalized values.
-
-    Diseases compare by canonical id, countries by alpha-3 code, dates by
-    exact day, counts by integer value (the approximate flag and the
-    case/death attribute are ignored). Raw strings are coerced through the
-    field's normalizer first, so "EVD" and "Ebola virus disease" agree;
-    strings neither side can resolve fall back to folded-text equality.
-    """
-    row = FIELD_TABLE.get(field)
-    if row is None:
-        raise ValueError(f"unknown field {field!r}")
-    if a is None or b is None:
-        return a is None and b is None
-    return _comparison_key(row, a, gazetteer) == _comparison_key(row, b, gazetteer)
+    """Field-aware equality of two values: their comparison keys are equal."""
+    return comparison_key(field, a, gazetteer) == comparison_key(field, b, gazetteer)

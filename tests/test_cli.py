@@ -381,6 +381,20 @@ def test_repeat_evaluation_is_deterministic_except_timestamp(tmp_path):
             assert first[name] == second[name], name
 
 
+def test_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch):
+    config = _extract_and_evaluate(tmp_path)
+    out = tmp_path / "out"
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+
+    def failed_move(src, dst):
+        raise OSError(f"cannot move {src} over {dst}")
+
+    # The new report is written in full but never moved over the old one.
+    monkeypatch.setattr(os, "replace", failed_move)
+    assert main(["--config", str(config), "evaluate"]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+
+
 def test_report_format_conversions(tmp_path, capsys):
     _extract_and_evaluate(tmp_path)
     report_path = tmp_path / "out" / "report.json"
@@ -408,6 +422,18 @@ def _torn_report(tmp_path):
     report = tmp_path / "out" / "report.json"
     report.write_bytes(report.read_bytes()[:-40])
     return report, ["report", str(report)]
+
+
+def _edited_report(edit):
+    def make(tmp_path):
+        _extract_and_evaluate(tmp_path)
+        path = tmp_path / "out" / "report.json"
+        report = json.loads(path.read_text(encoding="utf-8"))
+        edit(report)
+        path.write_text(json.dumps(report), encoding="utf-8")
+        return path, ["report", str(path)]
+
+    return make
 
 
 @pytest.mark.parametrize(
@@ -439,8 +465,19 @@ def _torn_report(tmp_path):
         ),
         _edited_config(lambda c: [c]),
         _torn_report,
+        _edited_report(lambda r: r["cells"]["rule"].pop("count")),
+        _edited_report(lambda r: r["extractors"].append("ghost")),
+        _edited_report(lambda r: r["cells"]["rule"]["date"].update(precision="0.5")),
+        _edited_report(lambda r: r["cells"]["rule"]["date"].update(tp="3")),
+        _edited_report(lambda r: r["cells"]["rule"]["date"].update(fn=-1)),
+        _edited_report(lambda r: r["cells"]["rule"]["date"].update(tn=True)),
     ],
-    ids=["match-mode", "transport-mode", "tie-break", "min-agreement", "top-level-list", "torn-report"],
+    ids=[
+        "match-mode", "transport-mode", "tie-break", "min-agreement", "top-level-list",
+        "torn-report", "report-cell-missing", "report-extractor-without-cells",
+        "report-string-metric", "report-string-count", "report-negative-count",
+        "report-bool-count",
+    ],
 )
 def test_bad_config_value_or_report_exits_2_naming_the_file(tmp_path, capsys, make):
     named, argv = make(tmp_path)

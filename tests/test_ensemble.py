@@ -1,17 +1,26 @@
 from datetime import date
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epix.ensemble import (
     EnsembleConfig,
     ExtractionRecord,
     TieBreak,
     VotePolicy,
+    _winning_group,
     ensemble_records,
     vote_field,
 )
 from epix.errors import ConfigError
-from epix.normalize import CanonicalDisease, CaseCount, CountryCode
+from epix.normalize import (
+    CanonicalDisease,
+    CaseCount,
+    CountryCode,
+    normalize_country,
+    normalize_disease,
+    values_match,
+)
 
 MEMBERS = ("m1", "m2", "m3")
 PRIORITY = VotePolicy(min_agreement=2, tie_break=TieBreak.PRIORITY_ORDER, priority=MEMBERS)
@@ -75,6 +84,72 @@ def test_vote_length_mismatch():
 
 def test_below_min_agreement_abstains():
     assert vote_field("disease", [_disease("a"), _disease("b"), _disease("c")], PRIORITY, MEMBERS) is None
+
+
+def _pairwise_winning_group(field_name, candidates, policy, members):
+    """The earlier _winning_group: each candidate joins the first group whose
+    first value values_match accepts, else starts a group."""
+    groups = []
+    for idx, value in enumerate(candidates):
+        for representative, indices in groups:
+            if values_match(field_name, value, representative):
+                indices.append(idx)
+                break
+        else:
+            groups.append((value, [idx]))
+
+    best_size = max(len(indices) for _, indices in groups)
+    if best_size < policy.min_agreement:
+        return None
+    top = [indices for _, indices in groups if len(indices) == best_size]
+    if len(top) == 1:
+        return top[0]
+    if policy.tie_break is TieBreak.ABSTAIN:
+        return None
+    if members is not None and policy.priority:
+        rank = {member: i for i, member in enumerate(policy.priority)}
+        return min(top, key=lambda indices: min(rank[members[i]] for i in indices))
+    return min(top, key=min)
+
+
+# Per field: normalized values, raw strings that resolve to them or to nothing
+# (in several spellings and cases), and absence.
+_CANDIDATES = {
+    "disease": [
+        None, normalize_disease("Ebola"), normalize_disease("Cholera"),
+        CanonicalDisease("ebola-virus-disease", "EVD"),
+        "EVD", "ebola virus disease", "Cholera", "unknown bug", "UNKNOWN BUG",
+    ],
+    "country": [
+        None, normalize_country("India"), normalize_country("Uganda"),
+        "IND", "india", "Uganda", "Atlantis", "atlantis",
+    ],
+    "date": [
+        None, date(2019, 6, 11), date(2018, 5, 31),
+        "2019-06-11", "11 June 2019", "June 11", "june 11", "someday",
+    ],
+    "count": [
+        None, CaseCount(15), CaseCount(15, approximate=True), CaseCount(200), 15,
+        "15", "fifteen cases", "about 15 deaths", "many", "MANY",
+    ],
+}
+
+
+@given(st.data())
+def test_grouping_by_key_matches_pairwise_grouping(data):
+    field_name = data.draw(st.sampled_from(sorted(_CANDIDATES)))
+    candidates = data.draw(
+        st.lists(st.sampled_from(_CANDIDATES[field_name]), min_size=1, max_size=7)
+    )
+    members = tuple(f"m{i}" for i in range(len(candidates)))
+    priority = tuple(data.draw(st.permutations(members))) if data.draw(st.booleans()) else ()
+    policy = VotePolicy(
+        min_agreement=data.draw(st.integers(1, len(candidates))),
+        tie_break=data.draw(st.sampled_from(list(TieBreak))),
+        priority=priority,
+    )
+    args = (field_name, candidates, policy, data.draw(st.sampled_from([members, None])))
+    assert _winning_group(*args) == _pairwise_winning_group(*args)
 
 
 # --- config validation -----------------------------------------------------------

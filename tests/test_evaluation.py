@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -11,7 +14,9 @@ from epix.evaluation import (
     ConfusionCounts,
     EvaluationReport,
     MatchMode,
+    MetricTriple,
     Outcome,
+    ReportCell,
     accumulate_confusion,
     classify_pair,
     evaluate,
@@ -21,7 +26,14 @@ from epix.evaluation import (
     recall,
     render_report,
 )
-from epix.normalize import CanonicalDisease, FIELDS, normalize_disease
+from epix.normalize import (
+    CanonicalDisease,
+    CaseCount,
+    CountAttribute,
+    FIELDS,
+    normalize_country,
+    normalize_disease,
+)
 
 
 def _pred(doc, disease=None, extractor="x"):
@@ -129,6 +141,79 @@ def test_detection_dominates_strict(pairs):
     assert strict.total == detect.total == len(pairs)
 
 
+# Per field: gold values (raw strings, dates, ints) and normalized predictions,
+# mixing values that match, values that differ and absence.
+_GOLD_VALUES = {
+    "disease": [None, "Nipah virus", "Ebola virus disease", "EVD", "Cholera", "no such disease"],
+    "country": [None, "India", "IND", "Uganda", "Atlantis"],
+    "date": [None, date(2019, 6, 11), date(2018, 5, 31)],
+    "count": [None, 0, 15, 200],
+}
+_PRED_VALUES = {
+    "disease": [None, *map(normalize_disease, ("Nipah virus", "Ebola", "Cholera", "Zika virus"))],
+    "country": [None, *map(normalize_country, ("India", "Uganda", "France"))],
+    "date": [None, date(2019, 6, 11), date(2018, 5, 31), date(2020, 1, 1)],
+    "count": [
+        None, CaseCount(15), CaseCount(200, approximate=True),
+        CaseCount(0, attribute=CountAttribute.DEATH),
+    ],
+}
+
+
+def _draw_values(data, pools):
+    return {field: data.draw(st.sampled_from(pool)) for field, pool in pools.items()}
+
+
+def _oracle_counts(golds, preds, field, mode):
+    by_id = {record.document_id: record for record in preds}
+    outcomes = Counter(
+        classify_pair(
+            gold.value(field), by_id[gold.document_id].normalized_value(field), field, mode
+        )
+        for gold in golds
+    )
+    return ConfusionCounts(
+        outcomes[Outcome.TP], outcomes[Outcome.FP], outcomes[Outcome.FN], outcomes[Outcome.TN]
+    )
+
+
+@given(st.data(), st.sampled_from(list(MatchMode)))
+def test_evaluate_equals_a_classify_pair_loop(data, mode):
+    n_docs = data.draw(st.integers(0, 8), label="gold documents")
+    n_extra = data.draw(st.integers(0, 3), label="extra predictions")
+    golds = [GoldAnnotation(f"d{i}", **_draw_values(data, _GOLD_VALUES)) for i in range(n_docs)]
+    records = {
+        extractor: data.draw(
+            st.permutations(
+                [
+                    ExtractionRecord(f"d{i}", extractor, **_draw_values(data, _PRED_VALUES))
+                    for i in range(n_docs + n_extra)
+                ]
+            )
+        )
+        for extractor in ("a", "b")
+    }
+    report = evaluate(records, golds, mode, timestamp="t0")
+    for extractor, preds in records.items():
+        for field in FIELDS:
+            expected = _oracle_counts(golds, preds, field, mode)
+            assert report.cells[extractor][field].counts == expected
+            assert report.cells[extractor][field].metrics == metric_triple(expected)
+            assert accumulate_confusion(golds, preds, field, mode) == expected
+
+    if n_docs:
+        dropped = data.draw(st.sampled_from(golds)).document_id
+        missing = [record for record in records["a"] if record.document_id != dropped]
+        repeated = [*records["a"], data.draw(st.sampled_from(records["a"]))]
+        for broken_preds, broken_golds in (
+            (missing, golds),
+            (repeated, golds),
+            (records["a"], [*golds, data.draw(st.sampled_from(golds))]),
+        ):
+            with pytest.raises(AlignmentError):
+                evaluate({"a": broken_preds}, broken_golds, mode)
+
+
 # --- metrics ---------------------------------------------------------------------
 
 
@@ -230,3 +315,67 @@ def test_report_json_roundtrip():
         gold_path="gold.jsonl", corpus_digest="abc", timestamp="t0",
     )
     assert EvaluationReport.from_json(report.to_json()) == report
+
+
+# Extractor ids with commas, quotes and non-ASCII letters (no whitespace, so
+# table columns split on it); metrics that render to edge values.
+_IDS = st.text(alphabet=list('ab,"\';-éß漢'), min_size=1, max_size=6)
+_METRICS = st.one_of(st.sampled_from([0.0, 1.0, 1 / 3, 2 / 3, 0.0005, 0.9995]), st.floats(0, 1))
+
+
+@st.composite
+def _reports(draw):
+    extractors = tuple(draw(st.lists(_IDS, min_size=1, max_size=3, unique=True)))
+    counts = st.builds(ConfusionCounts, *[st.integers(0, 10**6)] * 4)
+    metrics = st.builds(MetricTriple, _METRICS, _METRICS, _METRICS)
+    cells = {
+        extractor: {field: ReportCell(draw(counts), draw(metrics)) for field in FIELDS}
+        for extractor in extractors
+    }
+    return EvaluationReport(
+        draw(st.sampled_from(list(MatchMode))), extractors, cells,
+        gold_path=draw(st.one_of(st.none(), _IDS)), corpus_digest="abc", timestamp="t0",
+    )
+
+
+@given(_reports())
+def test_every_render_carries_the_same_cells_and_rounding(report):
+    header = ["extractor", "field", "tp", "fp", "fn", "tn", "precision", "recall", "f1"]
+    cells = [
+        (extractor, field, report.cells[extractor][field])
+        for extractor in report.extractors
+        for field in FIELDS
+    ]
+    metric_names = ("precision", "recall", "f1")
+    text_rows = []
+    json_rows = []
+    for extractor, field, cell in cells:
+        counts = [cell.counts.tp, cell.counts.fp, cell.counts.fn, cell.counts.tn]
+        metrics = [cell.metrics.precision, cell.metrics.recall, cell.metrics.f1]
+        texts = [f"{m:.3f}" for m in metrics]
+        # The text formats and JSONL round the same way.
+        assert [float(t) for t in texts] == [round(m, 3) for m in metrics]
+        text_rows.append([extractor, field, *map(str, counts), *texts])
+        json_rows.append([extractor, field, *counts, *(round(m, 3) for m in metrics)])
+
+    def render(fmt):
+        return render_report(report, fmt).decode("utf-8")
+
+    assert list(csv.reader(io.StringIO(render("csv")))) == [header, *text_rows]
+    table = render("table").splitlines()
+    assert table[0].startswith(f"# mode={report.mode.value}")
+    assert [line.split() for line in table[1:]] == [header, *text_rows]
+    jsonl = [json.loads(line) for line in render("jsonl").splitlines()]
+    assert [list(row) for row in jsonl] == [header] * len(cells)
+    assert [list(row.values()) for row in jsonl] == json_rows
+    plot = list(csv.reader(io.StringIO(render("plot"))))
+    assert plot == [
+        ["extractor", "field", "metric", "value"],
+        *(
+            [row[0], row[1], name, value]
+            for row in text_rows
+            for name, value in zip(metric_names, row[6:])
+        ),
+    ]
+    stored = json.loads(json.dumps(report.to_json(), ensure_ascii=False))
+    assert EvaluationReport.from_json(stored) == report
