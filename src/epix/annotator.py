@@ -14,6 +14,9 @@ from typing import Optional, Sequence
 from .corpus import Document, ExtractionRecord
 from .gazetteer import COUNTRY, DISEASE, Gazetteer, default_gazetteer, fold
 from .normalize import (
+    _CASE_KW,
+    _DEATH_KW,
+    _MONTH_RE,
     COUNT_EXPR_RE,
     CanonicalDisease,
     CaseCount,
@@ -27,6 +30,13 @@ from .normalize import (
 )
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
+# The keyword that ends every COUNT_EXPR_RE match.
+_COUNT_KEYWORD_RE = re.compile(rf"\b(?:{_CASE_KW}|{_DEATH_KW})\b", re.IGNORECASE)
+# A run of the only characters a count expression holds before its keyword:
+# \w, \s, "," and "-". Matched on the reversed body, it walks back.
+_COUNT_RUN_RE = re.compile(r"[\w\s,-]*")
+# Every DATE_PATTERNS match starts at a word boundary with a digit or a month name.
+_DATE_ANCHOR_RE = re.compile(rf"\b(?=\d|{_MONTH_RE})", re.IGNORECASE)
 
 _ATTRIBUTE_RANK = {
     CountAttribute.CASE: 0,
@@ -101,23 +111,51 @@ def annotate_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
 
 
 def annotate_counts(doc: Document) -> list[CountSpan]:
-    """Every count expression in the body (number plus case/death keyword)."""
-    return [
-        CountSpan(m.start(), m.end(), count_from_match(m))
-        for m in COUNT_EXPR_RE.finditer(doc.body)
-    ]
+    """Every count expression in the body (number plus case/death keyword).
+
+    The spans equal those of ``COUNT_EXPR_RE.finditer`` over the whole body.
+    A match ends at a case or death keyword, holds no other keyword, and
+    before its keyword holds only characters of ``_COUNT_RUN_RE``. So at most
+    one match ends at each keyword, and it starts inside the run of those
+    characters that ends there, after the previous keyword. Only that
+    stretch is searched.
+    """
+    body = doc.body
+    backwards = body[::-1]
+    spans: list[CountSpan] = []
+    floor = 0
+    for keyword in _COUNT_KEYWORD_RE.finditer(body):
+        run = _COUNT_RUN_RE.match(backwards, len(body) - keyword.start(), len(body) - floor)
+        match = COUNT_EXPR_RE.search(body, len(body) - run.end(), keyword.end())
+        if match is not None:
+            spans.append(CountSpan(match.start(), match.end(), count_from_match(match)))
+        floor = keyword.end()
+    return spans
 
 
 def annotate_dates(doc: Document) -> list[DateSpan]:
     """All resolvable date mentions; ranges yield their start date.
 
     Year-less month-day mentions resolve against the document's published
-    year and are dropped when the document is undated.
+    year and are dropped when the document is undated. Each pattern is tried
+    only at the digit and month-name anchors, which gives the same spans as
+    its ``finditer`` over the whole body.
     """
+    body = doc.body
     default_year = doc.published.year if doc.published else None
+    anchors = [m.start() for m in _DATE_ANCHOR_RE.finditer(body)]
     raw_hits: list[tuple[int, int, IsoDate]] = []
     for pattern in DATE_PATTERNS:
-        for match in pattern.finditer(doc.body):
+        # Every match starts at an anchor; skipping the anchors inside the
+        # last match keeps a pattern's matches apart, as finditer does.
+        next_start = 0
+        for anchor in anchors:
+            if anchor < next_start:
+                continue
+            match = pattern.match(body, anchor)
+            if match is None:
+                continue
+            next_start = match.end()
             value = resolve_date_match(match, default_year)
             if value is not None:
                 raw_hits.append((match.start(), match.end(), value))

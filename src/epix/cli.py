@@ -145,6 +145,13 @@ def _parse_run_config(data) -> RunConfig:
         extractor_id = entry.get("id")
         if not extractor_id:
             raise ConfigError("every extractor needs an id")
+        # The id names the predictions file, so it must stay a single file name.
+        if (
+            not isinstance(extractor_id, str)
+            or extractor_id in (".", "..")
+            or any(c in extractor_id for c in "/\\\0")
+        ):
+            raise ConfigError(f"extractor id must be a plain file name, got {extractor_id!r}")
         if extractor_id in seen_ids:
             raise ConfigError(f"duplicate extractor id {extractor_id!r}")
         seen_ids.add(extractor_id)

@@ -54,6 +54,11 @@ class CaseCount:
             raise ValueError("case count cannot be negative")
 
 
+# The letters outside ASCII that re.IGNORECASE matches to an ASCII letter
+# (long s, dotless i, dotted capital I, Kelvin sign). Patterns accept them in
+# month names and number words, so lookups fold them first.
+_ASCII_FOLD = str.maketrans("\u017f\u0131\u0130\u212a", "siik")
+
 # --- dates ---------------------------------------------------------------
 
 _MONTHS = {
@@ -112,7 +117,7 @@ def resolve_date_match(match: re.Match, default_year: int | None = None) -> Opti
     """Turn one DATE_PATTERNS match into a date; ranges yield their start."""
     groups = match.groupdict()
     if "mon" in groups and groups["mon"]:
-        month = _MONTHS[groups["mon"].lower().rstrip(".")]
+        month = _MONTHS[groups["mon"].translate(_ASCII_FOLD).lower()]
     else:
         month = int(groups["m"])
     day = int(groups["d"])
@@ -250,7 +255,7 @@ _DEATH_KW_RE = re.compile(rf"^{_DEATH_KW}$", re.IGNORECASE)
 def _words_to_int(phrase: str) -> int:
     total = 0
     current = 0
-    for token in re.split(r"[\s-]+", phrase.lower()):
+    for token in re.split(r"[\s-]+", phrase.translate(_ASCII_FOLD).lower()):
         if token in ("and", ""):
             continue
         if token == "a":

@@ -1,11 +1,14 @@
+import re
 import unicodedata
 from datetime import date
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epix.annotator import (
     _TOKEN_RE,
+    CountSpan,
+    DateSpan,
     EntitySpan,
     annotate_counts,
     annotate_dates,
@@ -24,7 +27,14 @@ from epix.gazetteer import (
     fold,
     load_gazetteer,
 )
-from epix.normalize import CaseCount, CountAttribute
+from epix.normalize import (
+    COUNT_EXPR_RE,
+    DATE_PATTERNS,
+    CaseCount,
+    CountAttribute,
+    count_from_match,
+    resolve_date_match,
+)
 
 
 def _doc(body, doc_id="doc", published=None):
@@ -142,14 +152,18 @@ def test_prefix_scan_matches_window_oracle(body):
     assert annotate_entities(_doc(body), _GAZETTEER) == _window_scan(body, _GAZETTEER)
 
 
-def test_prefix_scan_matches_window_oracle_on_fixtures(fixtures_dir):
+def _fixture_docs(fixtures_dir):
     def texts(folder):
         return [p.read_text(encoding="utf-8") for p in sorted((fixtures_dir / folder).iterdir())]
 
     docs = [parse_promed_post(raw) for raw in texts("e2e/raw")]
     docs += [parse_don_article(raw, url="") for raw in texts("don")]
     assert len(docs) == 15
-    for doc in docs:
+    return docs
+
+
+def test_prefix_scan_matches_window_oracle_on_fixtures(fixtures_dir):
+    for doc in _fixture_docs(fixtures_dir):
         spans = annotate_entities(doc, _GAZETTEER)
         assert spans and spans == _window_scan(doc.body, _GAZETTEER)
 
@@ -235,6 +249,180 @@ def test_date_spans_slice_the_body():
     doc = _doc(body)
     for span in annotate_dates(doc):
         assert body[span.start : span.end]
+
+
+# --- count and date scans against full-scan oracles ----------------------------
+
+
+def _full_count_scan(doc):
+    """The count scan at every offset that the keyword anchors replaced, kept as its oracle."""
+    return [
+        CountSpan(m.start(), m.end(), count_from_match(m))
+        for m in COUNT_EXPR_RE.finditer(doc.body)
+    ]
+
+
+def _full_date_scan(doc):
+    """The date scan at every offset that the digit and month anchors replaced, kept as its oracle."""
+    default_year = doc.published.year if doc.published else None
+    raw_hits = []
+    for pattern in DATE_PATTERNS:
+        for match in pattern.finditer(doc.body):
+            value = resolve_date_match(match, default_year)
+            if value is not None:
+                raw_hits.append((match.start(), match.end(), value))
+    raw_hits.sort(key=lambda hit: (hit[0], -(hit[1] - hit[0])))
+    spans = []
+    cursor = -1
+    for start, end, value in raw_hits:
+        if start <= cursor:
+            continue
+        spans.append(DateSpan(start, end, value))
+        cursor = end - 1
+    return spans
+
+
+def _outcome(scan, doc):
+    """The spans, or the kind of error the scan raised, so failures compare too."""
+    try:
+        return scan(doc)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+
+
+_UNIT_WORDS = "one two three four five six seven eight nine".split()
+_TEEN_WORDS = "ten eleven twelve thirteen fourteen fifteen sixteen seventeen eighteen nineteen".split()
+_TENS_WORDS = "twenty thirty forty fifty sixty seventy eighty ninety".split()
+_MONTH_SPELLINGS = [
+    "January", "Jan", "feb", "FEBRUARY", "Mar", "march", "Apr", "April", "may", "MAY", "Jun",
+    "June", "jul", "July", "Aug", "August", "Sep", "Sept", "September", "oct", "October",
+    "Nov", "november", "Dec", "December", "Mayday", "Junk",
+]
+# Letters outside ASCII that re.IGNORECASE matches to an ASCII letter (the long s, ...).
+_CASE_FOLD_LETTERS = [
+    c for c in map(chr, range(0x80, 0x110000)) if re.fullmatch("[a-z]", c, re.IGNORECASE)
+]
+# Digits 0-9 in Arabic-Indic, Devanagari and fullwidth forms; \d matches them all.
+_UNICODE_DIGITS = [str.maketrans("0123456789", "".join(chr(zero + i) for i in range(10)))
+                   for zero in (0x660, 0x966, 0xFF10)]
+_SPACES = [" ", "  ", "\t", "\n", "\u00a0", "\u2003", " " * 201, "\u00a0" * 203]
+_PUNCTUATION = ["", ", ", ". ", "; ", "(", ") ", "-", "–", "/", ":", "_"]
+
+
+@st.composite
+def _number_word(draw):
+    n = draw(st.integers(1, 999))
+    hundreds, rest = divmod(n, 100)
+    words = []
+    if hundreds:
+        words += [draw(st.sampled_from(["a", "one"])) if hundreds == 1 else _UNIT_WORDS[hundreds - 1],
+                  "hundred"]
+        if rest and draw(st.booleans()):
+            words.append("and")
+    if rest >= 20:
+        tens, unit = divmod(rest, 10)
+        joiner = draw(st.sampled_from(["-", " "]))
+        words.append(_TENS_WORDS[tens - 2] + (joiner + _UNIT_WORDS[unit - 1] if unit else ""))
+    elif rest >= 10:
+        words.append(_TEEN_WORDS[rest - 10])
+    elif rest:
+        words.append(_UNIT_WORDS[rest - 1])
+    return draw(st.sampled_from(_SPACES[:5])).join(words)
+
+
+def _numeral():
+    return st.one_of(
+        st.integers(0, 10**7).map(str),
+        st.integers(1000, 10**7).map("{:,}".format),
+        st.integers(200, 260).map(lambda n: "9" * n),
+        st.sampled_from(["1,23", "12,345,6", "007"]),
+    )
+
+
+def _count_expression():
+    hedge = st.sampled_from(["", "about ", "more than ", "at  least\n", "up to ", "nearly\u00a0"])
+    modifiers = st.lists(
+        st.sampled_from(["new", "confirmed", "lab-confirmed", "laboratory confirmed", "total"]),
+        max_size=2,
+    )
+    keyword = st.sampled_from(
+        ["case", "cases", "Cases", "infection", "INFECTIONS", "death", "deaths", "fatality",
+         "fatalities", "casesx", "deathly"]
+    )
+    return st.tuples(
+        hedge, st.one_of(_number_word(), _numeral()), st.sampled_from(_SPACES), modifiers, keyword
+    ).map(lambda t: t[0] + t[1] + t[2] + "".join(m + " " for m in t[3]) + t[4])
+
+
+@st.composite
+def _date_expression(draw):
+    d = draw(st.dates(min_value=date(1000, 1, 1)))
+    # A day drawn apart from the month makes dates such as 31 April.
+    n = draw(st.integers(1, 31))
+    day = draw(st.sampled_from([str(n), f"{n:02d}", f"{n}th", f"{n}st"]))
+    day_range = draw(st.sampled_from(["", "-21", " – 22nd", "-3"]))
+    month = draw(st.sampled_from(_MONTH_SPELLINGS))
+    dot = draw(st.sampled_from(["", "."]))
+    return draw(st.sampled_from([
+        d.isoformat(),
+        f"{day}{day_range} {month}{dot}, {d.year}",
+        f"{day} {month} {d.year}",
+        f"{month}{dot} {day}{day_range}, {d.year}",
+        f"{month} {day}{day_range} {d.year}",
+        f"{d.day:02d}/{d.month:02d}/{d.year}",
+        f"{month} {day}{day_range}",
+        f"{month} {day}",
+        "31 Feb 2020", "February 30, 2021", "2019-13-40", "31/31/2020", "Apr 31", "Feb 29",
+        # Shapes that overlap across patterns.
+        "12 May 2019-05-06", "3 May 19, 2020", "May 2019-05-06", "1 2 May 2020", "May 5 6 2019",
+        "2019-05-03-4 May 2020", "31-4 Feb 2020",
+    ]))
+
+
+_LOOSE_TOKENS = ["cases", "deaths", "hundred", "and", "a", "twenty", "new", "May", "2019",
+                 "19", "05", "the", "outbreak", "Ebola"]
+
+
+@st.composite
+def _count_and_date_bodies(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 10))):
+        piece = draw(st.one_of(
+            _count_expression(), _date_expression(), st.sampled_from(_LOOSE_TOKENS)
+        ))
+        if draw(st.integers(0, 4)) == 0:
+            piece = piece.translate(draw(st.sampled_from(_UNICODE_DIGITS)))
+        if draw(st.integers(0, 4)) == 0:
+            letter = draw(st.sampled_from(_CASE_FOLD_LETTERS))
+            for ascii_letter in "abcdefghijklmnopqrstuvwxyz":
+                if re.fullmatch(ascii_letter, letter, re.IGNORECASE):
+                    piece = piece.replace(ascii_letter, letter).replace(ascii_letter.upper(), letter)
+        parts += [piece, draw(st.sampled_from(_SPACES + _PUNCTUATION))]
+    return "".join(parts)
+
+
+@settings(max_examples=300)
+@given(_count_and_date_bodies(), st.one_of(st.none(), st.dates()))
+@example("9" * 250 + " cases", None)
+@example("about" + " " * 300 + "twenty-five new" + "\u00a0" * 250 + "deaths", None)
+@example("15 cases and 13 deaths, ſix caſes; fıve FİVE deaths", None)
+@example("12 May 2019-05-06, 3 May 19, 2020 and ſep 3, 2019 or APRİL 4 31 Feb 2020", date(2020, 1, 1))
+@example("١٥ cases on ١٢ May ٢٠١٩", None)
+@example("2019-05-03-4 May 2020 and 31-4 Feb 2020", None)
+def test_count_and_date_scans_match_full_scan_oracles(body, published):
+    doc = _doc(body, published=published)
+    assert _outcome(annotate_counts, doc) == _outcome(_full_count_scan, doc)
+    assert _outcome(annotate_dates, doc) == _outcome(_full_date_scan, doc)
+
+
+def test_count_and_date_scans_match_full_scan_oracles_on_fixtures(fixtures_dir):
+    spans = 0
+    for doc in _fixture_docs(fixtures_dir):
+        counts, dates = annotate_counts(doc), annotate_dates(doc)
+        assert counts == _full_count_scan(doc)
+        assert dates == _full_date_scan(doc)
+        spans += len(counts) + len(dates)
+    assert spans
 
 
 # --- key-entity filtering ---------------------------------------------------

@@ -464,6 +464,10 @@ def _edited_report(edit):
             }
         ),
         _edited_config(lambda c: [c]),
+        *(
+            _edited_config(lambda c, bad=bad: {**c, "extractors": [{"id": bad, "kind": "rule_based"}]})
+            for bad in ("..", ".", "../../corpus", "a/b", "a\\b", "/tmp/abs", "nul\0", 7, ["x"])
+        ),
         _torn_report,
         _edited_report(lambda r: r["cells"]["rule"].pop("count")),
         _edited_report(lambda r: r["extractors"].append("ghost")),
@@ -474,6 +478,8 @@ def _edited_report(edit):
     ],
     ids=[
         "match-mode", "transport-mode", "tie-break", "min-agreement", "top-level-list",
+        "id-parent", "id-dot", "id-escape", "id-slash", "id-backslash", "id-absolute",
+        "id-nul", "id-number", "id-list",
         "torn-report", "report-cell-missing", "report-extractor-without-cells",
         "report-string-metric", "report-string-count", "report-negative-count",
         "report-bool-count",
@@ -484,6 +490,17 @@ def test_bad_config_value_or_report_exits_2_naming_the_file(tmp_path, capsys, ma
     capsys.readouterr()
     assert main(argv) == 2
     assert str(named) in capsys.readouterr().err
+
+
+def test_extractor_id_outside_the_output_directory_writes_nothing(tmp_path):
+    _small_corpus(tmp_path)
+    config = _write_config(tmp_path, [{"id": "../../escaped", "kind": "rule_based"}])
+    (tmp_path / "out" / "predictions").mkdir(parents=True)
+    assert main(["--config", str(config), "extract"]) == 2
+    assert not any((tmp_path / "out" / "predictions").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "corpus.jsonl", "gold.jsonl", "out"
+    ]
 
 
 def test_commands_require_config(capsys):

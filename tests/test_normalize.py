@@ -1,8 +1,11 @@
+import json
+import re
 from datetime import date
 
 import pytest
 from hypothesis import given, strategies as st
 
+from epix.cli import main
 from epix.normalize import (
     CanonicalDisease,
     CaseCount,
@@ -129,6 +132,78 @@ def test_case_count_rejects_negative():
 def test_parse_count_never_negative(raw):
     count = parse_count_expression(raw)
     assert count is None or count.value >= 0
+
+
+# --- letters that re.IGNORECASE folds to ASCII --------------------------------
+
+# Every code point above 0x7F that the patterns' case-insensitive matching
+# takes for an ASCII letter, paired with that letter.
+_CASE_FOLD_LETTERS = [
+    (c, ascii_letter)
+    for c in map(chr, range(0x80, 0x110000))
+    if re.fullmatch("[a-z]", c, re.IGNORECASE)
+    for ascii_letter in "abcdefghijklmnopqrstuvwxyz"
+    if re.fullmatch(ascii_letter, c, re.IGNORECASE)
+]
+_NUMBER_WORDS = {
+    word: value
+    for value, word in enumerate(
+        "one two three four five six seven eight nine ten eleven twelve thirteen fourteen "
+        "fifteen sixteen seventeen eighteen nineteen".split(),
+        start=1,
+    )
+} | {word: 10 * tens for tens, word in enumerate(
+    "twenty thirty forty fifty sixty seventy eighty ninety".split(), start=2
+)}
+_MONTH_NAMES = (
+    "january february march april may june july august september october november december"
+).split()
+
+
+def _respellings(words, letter, ascii_letter):
+    return [(word, word.replace(ascii_letter, letter)) for word in words if ascii_letter in word]
+
+
+def test_case_fold_letters_parse_as_their_ascii_letter():
+    checked = 0
+    for letter, ascii_letter in _CASE_FOLD_LETTERS:
+        for word, spelled in _respellings(_NUMBER_WORDS, letter, ascii_letter):
+            value = _NUMBER_WORDS[word]
+            assert parse_count_expression(f"{spelled} cases") == CaseCount(
+                value, False, CountAttribute.CASE
+            ), spelled
+            assert parse_count_expression(spelled) == CaseCount(value), spelled
+            checked += 1
+        for word, spelled in _respellings(_MONTH_NAMES, letter, ascii_letter):
+            month = _MONTH_NAMES.index(word) + 1
+            assert normalize_date(f"{spelled} 3, 2019") == date(2019, month, 3), spelled
+            assert normalize_date(f"3 {spelled[:3]} 2019") == date(2019, month, 3), spelled
+            checked += 1
+    # The long s, dotless i and dotted capital I spell number words and months.
+    assert len(_CASE_FOLD_LETTERS) >= 3 and checked >= 20
+
+
+def test_rule_based_extract_reads_case_fold_letters(tmp_path, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "post.txt").write_text(
+        "Subject: PRO/EDR> Ebola - Guinea\n\n"
+        "Guinea reported ſix cases of Ebola on ſep 3, 2019.\n",
+        encoding="utf-8",
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--source", "promed", str(raw), "--out", str(corpus)]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "corpus": str(corpus),
+        "output_dir": str(tmp_path / "out"),
+        "extractors": [{"id": "rule", "kind": "rule_based"}],
+    }), encoding="utf-8")
+    assert main(["--config", str(config), "extract"]) == 0
+    [record] = (tmp_path / "out" / "predictions" / "rule.jsonl").read_text().splitlines()
+    record = json.loads(record)
+    assert record["count"]["value"] == 6
+    assert record["date"]["iso"] == "2019-09-03"
 
 
 # --- values_match -----------------------------------------------------------------
