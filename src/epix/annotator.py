@@ -118,7 +118,8 @@ def annotate_counts(doc: Document) -> list[CountSpan]:
     before its keyword holds only characters of ``_COUNT_RUN_RE``. So at most
     one match ends at each keyword, and it starts inside the run of those
     characters that ends there, after the previous keyword. Only that
-    stretch is searched.
+    stretch is searched. A match whose numeral is too long to resolve is
+    skipped.
     """
     body = doc.body
     backwards = body[::-1]
@@ -127,8 +128,9 @@ def annotate_counts(doc: Document) -> list[CountSpan]:
     for keyword in _COUNT_KEYWORD_RE.finditer(body):
         run = _COUNT_RUN_RE.match(backwards, len(body) - keyword.start(), len(body) - floor)
         match = COUNT_EXPR_RE.search(body, len(body) - run.end(), keyword.end())
-        if match is not None:
-            spans.append(CountSpan(match.start(), match.end(), count_from_match(match)))
+        count = count_from_match(match) if match is not None else None
+        if count is not None:
+            spans.append(CountSpan(match.start(), match.end(), count))
         floor = keyword.end()
     return spans
 

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -22,6 +23,7 @@ from . import annotator, llm
 from .corpus import (
     Document,
     ExtractionRecord,
+    json_line,
     load_corpus,
     load_gold,
     parse_don_article,
@@ -30,7 +32,6 @@ from .corpus import (
     save_corpus,
     with_id,
     write_atomic,
-    write_jsonl,
 )
 from .ensemble import EnsembleConfig, TieBreak, VotePolicy, ensemble_records
 from .errors import (
@@ -80,9 +81,15 @@ class RunConfig:
     backoff_base: float = 0.5
     concurrency: int = 4
     sampling: Sampling = field(default_factory=Sampling)
+    # Each extractor's fingerprint (see ``_fingerprints``); members come before their ensembles.
+    fingerprints: dict[str, str] = field(default_factory=dict)
 
     def predictions_path(self, extractor_id: str) -> Path:
         return self.output_dir / "predictions" / f"{extractor_id}.jsonl"
+
+    def state_path(self, extractor_id: str) -> Path:
+        """The sidecar that proves which of an extractor's records are current."""
+        return self.output_dir / "state" / f"{extractor_id}.json"
 
     def transport(self) -> Transport:
         return Transport(
@@ -193,7 +200,7 @@ def _parse_run_config(data) -> RunConfig:
     mode = TransportMode(str(transport.get("mode", "replay")).upper())
     cache_dir = transport.get("cache_dir")
     sampling = data.get("sampling", {})
-    return RunConfig(
+    config = RunConfig(
         corpus=Path(data["corpus"]),
         gold=Path(data["gold"]) if data.get("gold") else None,
         output_dir=Path(data.get("output_dir", "out")),
@@ -209,6 +216,47 @@ def _parse_run_config(data) -> RunConfig:
             max_tokens=_number(sampling, "sampling.max_tokens", 512, integer=True, minimum=1),
         ),
     )
+    config.fingerprints = _fingerprints(extractors, config.sampling)
+    return config
+
+
+def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> dict[str, str]:
+    """Each extractor's sha256 over canonical JSON of everything that decides its records.
+
+    A model extractor's covers its model profile, template and the
+    sampling; an ensemble's its members' fingerprints and its policy.
+    Where answers come from is left out: the transport mode and the
+    endpoint, which the request digest keying the cache omits too. Members
+    come before their ensembles in the result; an ensemble that is,
+    through its members, its own member is a ConfigError.
+    """
+    specs = {spec.id: spec for spec in extractors}
+    done: dict[str, str] = {}
+
+    def visit(spec: ExtractorSpec, within: tuple[str, ...]) -> str:
+        if spec.id in done:
+            return done[spec.id]
+        if spec.id in within:
+            raise ConfigError(f"ensemble {spec.id!r} is a member of itself via {list(within)}")
+        source: dict = {"kind": spec.kind}
+        if spec.profile is not None:
+            source["model"] = {k: v for k, v in vars(spec.profile).items() if k != "endpoint"}
+            source["template"] = spec.template
+            source["sampling"] = sampling
+        if spec.ensemble is not None:
+            inner = (*within, spec.id)
+            source["members"] = [[m, visit(specs[m], inner)] for m in spec.ensemble.members]
+            source["policy"] = spec.ensemble.policy
+        # Dataclasses encode as their fields (``default=vars``).
+        canonical = json.dumps(
+            source, default=vars, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        )
+        done[spec.id] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return done[spec.id]
+
+    for spec in extractors:
+        visit(spec, ())
+    return done
 
 
 # --- commands ----------------------------------------------------------------
@@ -246,67 +294,297 @@ def _read_predictions(path: Path) -> dict[str, ExtractionRecord]:
     return {record.document_id: record for record in records}
 
 
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def _document_digest(doc: Document) -> str:
+    """Digest of what an extractor reads of a document: its publication date and body."""
+    return _digest(doc.published.isoformat() if doc.published else "", doc.body)
+
+
+def _read_state(path: Path) -> Optional[dict]:
+    """A predictions file's sidecar; none when the file predates sidecars."""
+    try:
+        state = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise SchemaError(f"{path}: unreadable resume state ({exc})") from None
+    if not (
+        isinstance(state, dict)
+        and isinstance(state.get("fingerprint"), str)
+        and isinstance(state.get("sha256"), str)
+        and type(state.get("length")) is int
+        and state["length"] >= 0
+        and isinstance(state.get("documents"), dict)
+        and all(
+            type(entry) is list and len(entry) == 2 and all(type(d) is str for d in entry)
+            for entry in state["documents"].values()
+        )
+    ):
+        raise SchemaError(f"{path}: unreadable resume state")
+    return state
+
+
+@dataclass
+class _Stored:
+    """What a resume may reuse of one extractor's predictions file.
+
+    ``inputs`` holds the input digest of each document the extractor can
+    work on now (see ``_Reuse``). ``current`` maps each committed record
+    that the sidecar proves current to its sidecar entry, ``[input digest,
+    record digest]``; it is None for a file without a sidecar, whose
+    records are all adopted. ``data`` is what a full read decodes.
+    ``committed`` is the running digest of the committed bytes when the new
+    lines may simply be appended, and ``cut`` says that an interrupted
+    append left bytes after them.
+    """
+
+    inputs: dict[str, str]
+    data: bytes = b""
+    state: Optional[dict] = None
+    current: Optional[dict[str, list[str]]] = field(default_factory=dict)
+    committed: object = None
+    cut: bool = False
+
+
+def _stored(config: RunConfig, extractor_id: str, inputs: dict[str, str]) -> _Stored:
+    """Check an extractor's predictions file against its sidecar.
+
+    A record is current when the committed bytes hash to the sidecar's
+    digest, the sidecar's fingerprint matches the extractor's and the
+    record's input digest is unchanged. Whole lines after the committed
+    bytes are read in full, so a line added by hand is still checked. Any
+    other bytes there are what an interrupted append leaves, and are cut.
+    Appending is safe when every committed record is current.
+    """
+    path = config.predictions_path(extractor_id)
+    if not path.exists():
+        return _Stored(inputs)
+    data = path.read_bytes()
+    state = _read_state(config.state_path(extractor_id))
+    if state is None:
+        return _Stored(inputs, data, current=None)
+    length = state["length"]
+    committed = hashlib.sha256(data[:length])
+    if len(data) < length or committed.hexdigest() != state["sha256"]:
+        return _Stored(inputs, data, state)
+    documents = state["documents"]
+    current = {}
+    if state["fingerprint"] == config.fingerprints[extractor_id]:
+        current = {d: entry for d, entry in documents.items() if inputs.get(d) == entry[0]}
+    tail = data[length:]
+    if tail.endswith(b"\n"):
+        return _Stored(inputs, data, state, current)
+    appendable = len(current) == len(documents)
+    return _Stored(
+        inputs, data[:length], state, current, committed if appendable else None, bool(tail)
+    )
+
+
+class _Reuse:
+    """What one ``extract`` may reuse, worked out once per extractor.
+
+    An extractor's input digest for a document is the document's digest.
+    An ensemble's also covers the record digests of its members' current
+    records of the document, so a vote goes stale when a member redoes a
+    record, in this run or an earlier one.
+    """
+
+    def __init__(self, config: RunConfig, docs: Sequence[Document]):
+        self.config = config
+        self.digests = {doc.id: _document_digest(doc) for doc in docs}
+        self.specs = {spec.id: spec for spec in config.extractors}
+        self.written: dict[str, dict[str, list[str]]] = {}  # sidecar entries this run wrote
+        self._stored: dict[str, _Stored] = {}
+
+    def stored(self, extractor_id: str) -> _Stored:
+        if extractor_id not in self._stored:
+            spec = self.specs[extractor_id]
+            inputs = self.digests
+            if spec.ensemble is not None:
+                members = [self.current(member) for member in spec.ensemble.members]
+                inputs = {
+                    doc_id: _digest(digest, *(found[doc_id][1] for found in members))
+                    for doc_id, digest in self.digests.items()
+                    if all(doc_id in found for found in members)
+                }
+            self._stored[extractor_id] = _stored(self.config, extractor_id, inputs)
+        return self._stored[extractor_id]
+
+    def current(self, extractor_id: str) -> dict[str, list[str]]:
+        """Sidecar entries of an extractor's current records, as of this run's commit."""
+        if extractor_id in self.written:
+            return self.written[extractor_id]
+        return self.stored(extractor_id).current or {}
+
+
+def _current_records(path: Path, stored: _Stored) -> dict[str, ExtractionRecord]:
+    """Decode every stored record and keep the current ones."""
+    records = read_jsonl(
+        path, ExtractionRecord.from_json, unique=attrgetter("document_id"), data=stored.data
+    )
+    keep = stored.inputs if stored.current is None else stored.current
+    return {r.document_id: r for r in records if r.document_id in keep}
+
+
+def _commit(
+    config: RunConfig,
+    extractor_id: str,
+    stored: _Stored,
+    kept: dict[str, ExtractionRecord],
+    new: Sequence[ExtractionRecord],
+    docs: Sequence[Document],
+) -> dict[str, list[str]]:
+    """Append the new records, or rewrite the file in corpus order, then its sidecar.
+
+    A failed append is cut back to the committed bytes. Returns the
+    sidecar's entries.
+    """
+    path = config.predictions_path(extractor_id)
+    lines = {record.document_id: json_line(record) for record in new}
+    if stored.committed is not None:
+        length, committed = stored.state["length"], stored.committed
+        documents = dict(stored.state["documents"])
+        try:
+            with open(path, "r+b") as fh:
+                fh.truncate(length)  # cuts an interrupted append
+                fh.seek(length)
+                fh.writelines(lines.values())
+        except BaseException:
+            os.truncate(path, length)
+            raise
+    else:
+        for doc_id, record in kept.items():
+            lines.setdefault(doc_id, json_line(record))
+        lines = {doc.id: lines[doc.id] for doc in docs if doc.id in lines}
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, lines.values())
+        length, committed, documents = 0, hashlib.sha256(), {}
+    for doc_id, line in lines.items():
+        committed.update(line)
+        length += len(line)
+        documents[doc_id] = [stored.inputs[doc_id], hashlib.sha256(line).hexdigest()]
+    state = {
+        "fingerprint": config.fingerprints[extractor_id],
+        "length": length,
+        "sha256": committed.hexdigest(),
+        "documents": documents,
+    }
+    state_path = config.state_path(extractor_id)
+    state_path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(state_path, [json.dumps(state, separators=(",", ":")).encode("utf-8")])
+    return documents
+
+
+def _each(docs: Sequence[Document], extract) -> list[ExtractionRecord]:
+    """``extract`` each document in turn; a failure carries the records before it."""
+    done: list[ExtractionRecord] = []
+    for doc in docs:
+        try:
+            done.append(extract(doc))
+        except Exception as exc:
+            raise ExtractionFailed(doc.id, exc, partial_records=done) from exc
+    return done
+
+
 def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     """Run every configured extractor over the corpus, resuming where possible.
 
-    Documents that already have a persisted record are skipped. On transport
-    failure the completed records are saved before exiting. The transport is
-    built only when a model extractor runs, so rule-based runs need no cache.
-    An ensemble votes from its members' records of this run, and reads a
-    member's predictions file only when ``only`` left that member out.
+    A record is reused only when the extractor's sidecar proves it current
+    (see ``_stored``); every other document is extracted. With nothing
+    stale and no document gone, the new records are appended; otherwise the
+    file is rewritten in corpus order. Any per-document failure first
+    commits the records finished before it. The transport is built only
+    when a model extractor runs, so rule-based runs need no cache. An
+    ensemble votes from its members' records of this run, and reads a
+    member's predictions file only for documents those lack.
     """
     docs = load_corpus(config.corpus)
+    reuse = _Reuse(config, docs)
     gazetteer = default_gazetteer()
     transport = None
-    records_of: dict[str, dict[str, ExtractionRecord]] = {}
+    records_of: dict[str, dict[str, ExtractionRecord]] = {}  # this run's, in memory
 
-    # Ensembles run last, so that their members' records of this run exist.
-    for spec in sorted(config.extractors, key=lambda s: s.kind == ENSEMBLE):
+    # Members run before their ensembles, so that their records of this run exist.
+    rank = {extractor_id: i for i, extractor_id in enumerate(config.fingerprints)}
+    for spec in sorted(config.extractors, key=lambda s: rank[s.id] if s.kind == ENSEMBLE else -1):
         if only and spec.id not in only:
             continue
         path = config.predictions_path(spec.id)
-        existing = _read_predictions(path)
-        missing = [doc for doc in docs if doc.id not in existing]
+        stored = reuse.stored(spec.id)
+        if stored.committed is not None:
+            kept, reused = {}, stored.current
+        else:
+            kept = _current_records(path, stored)
+            reused = kept.keys()
+        missing = [doc for doc in docs if doc.id not in reused]
         failure = None
-
-        if spec.kind == RULE_BASED:
-            new = [
-                annotator.extract_rule_based(doc, gazetteer, extractor_id=spec.id)
-                for doc in missing
-            ]
-        elif spec.kind == LLM:
-            if transport is None:
-                transport = config.transport()
-            try:
+        try:
+            if spec.kind == RULE_BASED:
+                new = _each(
+                    missing,
+                    lambda doc: annotator.extract_rule_based(doc, gazetteer, extractor_id=spec.id),
+                )
+            elif spec.kind == LLM:
+                if transport is None:
+                    transport = config.transport()
                 new = llm.extract_documents(
                     missing, spec.profile, spec.template, transport,
                     sampling=config.sampling, extractor_id=spec.id,
                     gazetteer=gazetteer, concurrency=config.concurrency,
                 )
-            except ExtractionFailed as exc:
-                new, failure = exc.partial_records, exc
-        else:  # ensemble
-            members = spec.ensemble.members
-            for member in [m for m in members if m not in records_of]:
-                records_of[member] = _read_predictions(config.predictions_path(member))
-            new = []
-            for doc in missing:
-                lacking = [m for m in members if doc.id not in records_of[m]]
-                if lacking:
-                    raise ConfigError(
-                        f"ensemble {spec.id!r}: members {lacking} have no record "
-                        f"for document {doc.id!r}; extract members first"
-                    )
-                votes = [records_of[m][doc.id] for m in members]
-                new.append(ensemble_records(votes, spec.ensemble))
-
-        existing.update((record.document_id, record) for record in new)
-        records_of[spec.id] = existing
-        write_jsonl([existing[d.id] for d in docs if d.id in existing], path)
+            else:
+                new = _each(missing, _voter(config, spec, stored, records_of, reuse))
+        except ExtractionFailed as exc:
+            new, failure = exc.partial_records, exc
+        # An appendable file with nothing to add or cut stays as it is.
+        unchanged = stored.committed is not None and not stored.cut
+        if new or (failure is None and not unchanged):
+            reuse.written[spec.id] = _commit(config, spec.id, stored, kept, new, docs)
         if failure is not None:
-            raise failure
-        print(f"{spec.id}: {len(existing)} records ({len(missing)} new) -> {path}")
+            raise failure if isinstance(failure.cause, TransportError) else failure.cause
+        records_of[spec.id] = kept | {record.document_id: record for record in new}
+        print(f"{spec.id}: {len(reused) + len(new)} records ({len(new)} new) -> {path}")
     return EXIT_OK
+
+
+def _voter(
+    config: RunConfig,
+    spec: ExtractorSpec,
+    stored: _Stored,
+    records_of: dict[str, dict[str, ExtractionRecord]],
+    reuse: _Reuse,
+):
+    """Vote on one document from the members' current records.
+
+    The ensemble can vote on a document only when each member has a record
+    of it that the member itself would reuse. That record comes from this
+    run when there is one, else from the member's predictions file.
+    """
+    members = spec.ensemble.members
+    on_file: dict[str, dict[str, ExtractionRecord]] = {}
+
+    def record(member: str, doc_id: str) -> ExtractionRecord:
+        found = records_of.get(member, {}).get(doc_id)
+        if found is not None:
+            return found
+        if member not in on_file:
+            path = config.predictions_path(member)
+            on_file[member] = _current_records(path, reuse.stored(member))
+        return on_file[member][doc_id]
+
+    def vote(doc: Document) -> ExtractionRecord:
+        if doc.id not in stored.inputs:
+            lacking = [member for member in members if doc.id not in reuse.current(member)]
+            raise ConfigError(
+                f"ensemble {spec.id!r}: members {lacking} have no current record "
+                f"for document {doc.id!r}; extract members first"
+            )
+        return ensemble_records([record(member, doc.id) for member in members], spec.ensemble)
+
+    return vote
 
 
 def _corpus_digest(path: Path) -> str:

@@ -9,6 +9,7 @@ without loading tricks.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -349,16 +350,20 @@ def with_id(doc: Document, doc_id: str) -> Document:
 # --- persistence -----------------------------------------------------------
 
 
-def read_jsonl(path: str | Path, decode: Callable[[Mapping], object], unique=None) -> list:
+def read_jsonl(
+    path: str | Path, decode: Callable[[Mapping], object], unique=None, data: bytes | None = None
+) -> list:
     """Decode every non-blank line of a JSON-lines file, in order.
 
     A line that is not a JSON object, that ``decode`` rejects, or whose
     ``unique(item)`` repeats an earlier line's is a SchemaError naming the
-    file and the line.
+    file and the line. ``data``, when given, is the file's content already
+    read, and ``path`` only names it.
     """
     items = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    source = open(path, "rb") if data is None else io.BytesIO(data)
+    with io.TextIOWrapper(source, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -397,13 +402,15 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
+def json_line(item) -> bytes:
+    """``item.to_json()`` as one line of a JSON-lines file."""
+    return (json.dumps(item.to_json(), ensure_ascii=False) + "\n").encode("utf-8")
+
+
 def write_jsonl(items: Iterable, path: str | Path) -> None:
     """Write each item's ``to_json()`` as one line, atomically (see write_atomic)."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(
-        path,
-        ((json.dumps(item.to_json(), ensure_ascii=False) + "\n").encode("utf-8") for item in items),
-    )
+    write_atomic(path, map(json_line, items))
 
 
 save_corpus = save_gold = write_jsonl

@@ -455,8 +455,8 @@ def extract_documents(
 ) -> list[ExtractionRecord]:
     """Extract a batch with bounded in-flight requests, preserving doc order.
 
-    On a transport failure the batch stops and raises ExtractionFailed
-    carrying every record completed so far, so callers can persist progress.
+    On any failure the batch stops and raises ExtractionFailed carrying the
+    cause and every record completed so far, so callers can persist progress.
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
@@ -486,7 +486,5 @@ def extract_documents(
     ordered = [results[doc.id] for doc in docs if doc.id in results]
     if failure is not None:
         doc_id, exc = failure
-        if isinstance(exc, TransportError):
-            raise ExtractionFailed(doc_id, exc, partial_records=ordered) from exc
-        raise exc
+        raise ExtractionFailed(doc_id, exc, partial_records=ordered) from exc
     return ordered

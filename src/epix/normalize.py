@@ -274,16 +274,24 @@ def _words_to_int(phrase: str) -> int:
     return total
 
 
-def _number_value(text: str) -> int:
+def _number_value(text: str) -> Optional[int]:
+    """A numeral's or number phrase's value; None for a numeral too long to
+    convert (over ``sys.get_int_max_str_digits()`` digits)."""
     digits = text.replace(",", "")
     if digits.isdigit():
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:
+            return None
     return _words_to_int(text)
 
 
-def count_from_match(match: re.Match) -> CaseCount:
-    """Build a CaseCount from a COUNT_EXPR_RE or bare-number match."""
+def count_from_match(match: re.Match) -> Optional[CaseCount]:
+    """Build a CaseCount from a COUNT_EXPR_RE or bare-number match; None when
+    its numeral is too long to resolve."""
     value = _number_value(match.group("num"))
+    if value is None:
+        return None
     approximate = match.group("hedge") is not None
     keyword = match.groupdict().get("kw")
     if keyword is None:
@@ -301,7 +309,8 @@ def parse_count_expression(raw: str) -> Optional[CaseCount]:
     Digit numerals and English number words up to 999 are understood. Hedge
     markers ("about", "more than", ...) set the approximate flag; a trailing
     keyword fixes the attribute (cases vs deaths). A bare numeral parses with
-    attribute UNKNOWN so model answers like "15" survive normalization.
+    attribute UNKNOWN so model answers like "15" survive normalization. A
+    numeral too long to convert leaves the count unresolved (None).
     """
     if raw is None or not raw.strip():
         return None

@@ -226,6 +226,11 @@ def test_annotate_counts_examples():
     assert annotate_counts(_doc("no counts")) == []
 
 
+def test_numeral_too_long_to_convert_is_skipped():
+    [span] = annotate_counts(_doc("9" * 5000 + " cases and 12 deaths"))
+    assert span.count == CaseCount(12, False, CountAttribute.DEATH)
+
+
 def test_bare_numbers_are_not_counts_in_documents():
     # years and dates must not flood the count annotator
     assert annotate_counts(_doc("The briefing of 2018 mentioned 31 May 2018.")) == []

@@ -1,13 +1,18 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from epix import cli, llm
 from epix.cli import load_run_config, main
-from epix.corpus import load_corpus, save_corpus, save_gold, Document, GoldAnnotation, Source
+from epix.corpus import (
+    Document, ExtractionRecord, GoldAnnotation, Source, load_corpus, save_corpus, save_gold
+)
 from epix.errors import ConfigError
 from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
 
@@ -164,13 +169,13 @@ def test_extract_rule_based_needs_no_transport(tmp_path):
     assert len((tmp_path / "out" / "predictions" / "rule.jsonl").read_text().splitlines()) == 3
 
 
-def _seed_cache(tmp_path, docs, answer):
-    """Replay entries for a zero-shot gpt-4-32k answering ``answer`` to each document."""
-    profile = default_registry()["gpt-4-32k"]
-    template = load_template("zero-shot")
+def _seed_cache(tmp_path, docs, answer, model="gpt-4-32k", template="zero-shot", sampling=Sampling()):
+    """Replay entries for ``model`` prompted with ``template`` answering ``answer`` to each document."""
+    profile = default_registry()[model]
+    template = load_template(template)
     transport = Transport(mode=TransportMode.RECORD, cache_dir=tmp_path / "cache")
     return [
-        transport.put(profile, build_messages(doc, template, profile).messages, Sampling(), answer)
+        transport.put(profile, build_messages(doc, template, profile).messages, sampling, answer)
         for doc in docs
     ], transport
 
@@ -236,6 +241,341 @@ def test_ensemble_votes_alike_from_memory_and_from_member_files(tmp_path):
     assert not ensemble.exists()
     assert main(["--config", str(config), "extract", "--only", "ens"]) == 0
     assert ensemble.read_bytes() == (full / "predictions" / "ens.jsonl").read_bytes()
+
+
+# --- resume ------------------------------------------------------------------------
+
+_FRANCE = '{"virus": "Measles", "country": "France", "date": "2 March 2019", "cases": "None"}'
+_ITALY = '{"virus": "Measles", "country": "Italy", "date": "2 March 2019", "cases": "None"}'
+_YEMEN = '{"virus": "Cholera", "country": "Yemen", "date": "5 May 2020", "cases": "7"}'
+_THREE = ("rule", "m", "ens")
+
+
+def _three_extractors(tmp_path, n=3, **extra):
+    """A rule-based extractor, a replayed model answering France and their ensemble."""
+    docs = _small_corpus(tmp_path, n)
+    _seed_cache(tmp_path, docs, _FRANCE)
+    config = _write_config(
+        tmp_path,
+        [
+            {"id": "rule", "kind": "rule_based"},
+            {"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "zero-shot"},
+            {"id": "ens", "kind": "ensemble", "members": ["rule", "m"]},
+        ],
+        **extra,
+    )
+    assert main(["--config", str(config), "extract"]) == 0
+    return docs, config
+
+
+def _predictions(tmp_path, extractor_id, out="out"):
+    path = tmp_path / out / "predictions" / f"{extractor_id}.jsonl"
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _add_document(tmp_path, docs, doc_id="d9", answer=_FRANCE):
+    docs.append(
+        Document(id=doc_id, source=Source.PROMED, title="t", body="Measles in France; 9 cases.")
+    )
+    save_corpus(docs, tmp_path / "corpus.jsonl")
+    _seed_cache(tmp_path, docs[-1:], answer)
+
+
+def _edit_config(path, edit):
+    data = json.loads(path.read_text(encoding="utf-8"))
+    edit(data)
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def _set_template(data):
+    data["extractors"][1]["template"] = "three-shot"
+
+
+def _set_model(data):
+    data["extractors"][1]["model"] = "gpt-35-turbo-16k"
+
+
+def _set_temperature(data):
+    data["sampling"] = {"temperature": 0.5}
+
+
+@pytest.mark.parametrize(
+    "edit, seeded",
+    [
+        (_set_template, {"template": "three-shot"}),
+        (_set_model, {"model": "gpt-35-turbo-16k"}),
+        (_set_temperature, {"sampling": Sampling(temperature=0.5)}),
+    ],
+    ids=["template", "model", "temperature"],
+)
+def test_changed_model_extractor_reextracts_every_document(tmp_path, capsys, edit, seeded):
+    docs, config = _three_extractors(tmp_path)
+    _seed_cache(tmp_path, docs, _ITALY, **seeded)
+    _edit_config(config, edit)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    assert "rule: 3 records (0 new)" in out
+    assert "m: 3 records (3 new)" in out and "ens: 3 records (3 new)" in out
+    assert [r["country"]["alpha3"] for r in _predictions(tmp_path, "m")] == ["ITA"] * 3
+    # Rule (France) and model (Italy) now disagree, so the ensemble abstains.
+    assert [r["country"] for r in _predictions(tmp_path, "ens")] == [None] * 3
+
+
+def test_changed_body_reextracts_that_document_for_every_extractor(tmp_path, capsys):
+    docs, config = _three_extractors(tmp_path)
+    before = {ext: _predictions(tmp_path, ext) for ext in _THREE}
+    docs[1] = Document(
+        id="d1", source=Source.PROMED, title="t1",
+        body="Cholera outbreak in Yemen on 5 May 2020; 7 cases.",
+    )
+    save_corpus(docs, tmp_path / "corpus.jsonl")
+    _seed_cache(tmp_path, docs[1:2], _YEMEN)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    for ext in _THREE:
+        assert f"{ext}: 3 records (1 new)" in out
+        after = _predictions(tmp_path, ext)
+        assert [r["document_id"] for r in after] == ["d0", "d1", "d2"]
+        assert after[0] == before[ext][0] and after[2] == before[ext][2], ext
+        assert after[1]["country"]["alpha3"] == "YEM", ext
+
+
+def test_document_that_left_the_corpus_loses_its_record(tmp_path, capsys):
+    docs, config = _three_extractors(tmp_path)
+    save_corpus([docs[0], docs[2]], tmp_path / "corpus.jsonl")
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    for ext in _THREE:
+        assert f"{ext}: 2 records (0 new)" in out
+        assert [r["document_id"] for r in _predictions(tmp_path, ext)] == ["d0", "d2"]
+
+
+def _predictions_file(tmp_path, extractor_id):
+    return tmp_path / "out" / "predictions" / f"{extractor_id}.jsonl"
+
+
+def _state_file(tmp_path, extractor_id):
+    return tmp_path / "out" / "state" / f"{extractor_id}.json"
+
+
+@pytest.mark.parametrize("whole", [0, 2], ids=["partial-line", "two-lines-and-a-partial"])
+def test_interrupted_append_is_cut_and_redone(tmp_path, whole):
+    docs, config = _three_extractors(tmp_path)
+    for doc_id in ("d9", "d10", "d11"):
+        _add_document(tmp_path, docs, doc_id)
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    # The committed file and sidecar, plus what an append stopped part-way leaves:
+    # some whole lines, then the start of a line never finished.
+    for ext in _THREE:
+        clean = (tmp_path / "clean" / "predictions" / f"{ext}.jsonl").read_bytes()
+        appended = clean.splitlines(keepends=True)[3:]
+        path = _predictions_file(tmp_path, ext)
+        path.write_bytes(path.read_bytes() + b"".join(appended[:whole]) + appended[whole][:30])
+    assert main(["--config", str(config), "extract"]) == 0
+    for ext in _THREE:
+        assert _predictions(tmp_path, ext) == _predictions(tmp_path, ext, out="clean"), ext
+
+
+class _FullDisk:
+    """A file opened for an append that takes one line, then runs out of space."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def truncate(self, size):
+        self.fh.truncate(size)
+
+    def seek(self, offset):
+        self.fh.seek(offset)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.fh.write(line)
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_append_is_cut_back_to_the_committed_bytes(tmp_path, monkeypatch, capsys):
+    docs, config = _three_extractors(tmp_path)
+    for doc_id in ("d9", "d10"):
+        _add_document(tmp_path, docs, doc_id)
+    before = {
+        ext: (_predictions_file(tmp_path, ext).read_bytes(), _state_file(tmp_path, ext).read_bytes())
+        for ext in _THREE
+    }
+    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    assert main(["--config", str(config), "extract"]) == 2
+    assert "No space left" in capsys.readouterr().err
+    for ext in _THREE:
+        after = (_predictions_file(tmp_path, ext).read_bytes(), _state_file(tmp_path, ext).read_bytes())
+        assert after == before[ext], ext
+    monkeypatch.undo()
+    assert main(["--config", str(config), "extract"]) == 0
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    for ext in _THREE:
+        assert _predictions(tmp_path, ext) == _predictions(tmp_path, ext, out="clean"), ext
+
+
+def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
+    _, config = _three_extractors(tmp_path)
+
+    def no_write(path, *args):
+        raise AssertionError(f"wrote {path}")
+
+    monkeypatch.setattr(cli, "write_atomic", no_write)
+    monkeypatch.setattr(cli, "open", no_write, raising=False)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    for ext in _THREE:
+        assert f"{ext}: 3 records (0 new)" in out
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["same-run", "later-run"])
+def test_ensemble_revotes_where_a_member_redid_its_records(tmp_path, capsys, later):
+    docs, config = _three_extractors(tmp_path)
+    # The member's file is gone and the model now answers differently.
+    _predictions_file(tmp_path, "m").unlink()
+    _seed_cache(tmp_path, docs, _ITALY)
+    if later:
+        assert main(["--config", str(config), "extract", "--only", "m"]) == 0
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    assert "ens: 3 records (3 new)" in capsys.readouterr().out
+    assert [r["country"]["alpha3"] for r in _predictions(tmp_path, "m")] == ["ITA"] * 3
+    # Rule (France) and model (Italy) now disagree, so the ensemble abstains.
+    assert [r["country"] for r in _predictions(tmp_path, "ens")] == [None] * 3
+
+
+def test_ensemble_of_an_ensemble_declared_first_runs_after_it(tmp_path, capsys):
+    docs = _small_corpus(tmp_path)
+    _seed_cache(tmp_path, docs, _FRANCE)
+    config = _write_config(
+        tmp_path,
+        [
+            {"id": "top", "kind": "ensemble", "members": ["ens", "m"]},
+            {"id": "rule", "kind": "rule_based"},
+            {"id": "m", "kind": "llm", "model": "gpt-4-32k"},
+            {"id": "ens", "kind": "ensemble", "members": ["rule", "m"]},
+        ],
+    )
+    assert main(["--config", str(config), "extract"]) == 0
+    _add_document(tmp_path, docs)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["rule", "m", "ens", "top"]
+    assert all("4 records (1 new)" in line for line in out)
+    assert [r["country"]["alpha3"] for r in _predictions(tmp_path, "top")] == ["FRA"] * 4
+
+
+def _change_body_of_d1(tmp_path, config):
+    docs = load_corpus(tmp_path / "corpus.jsonl")
+    docs[1] = Document(id="d1", source=Source.PROMED, title="t1", body="Cholera in Yemen.")
+    save_corpus(docs, tmp_path / "corpus.jsonl")
+
+
+@pytest.mark.parametrize(
+    "stale",
+    [lambda tmp_path, config: _edit_config(config, _set_template), _change_body_of_d1],
+    ids=["template", "body"],
+)
+def test_ensemble_over_a_stale_member_file_exits_2(tmp_path, capsys, stale):
+    _, config = _three_extractors(tmp_path)
+    ensemble = tmp_path / "out" / "predictions" / "ens.jsonl"
+    before = ensemble.read_bytes()
+    stale(tmp_path, config)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract", "--only", "ens"]) == 2
+    err = capsys.readouterr().err
+    assert "'m'" in err and "no current record" in err
+    assert ensemble.read_bytes() == before
+
+
+def test_predictions_file_without_sidecar_is_adopted_once(tmp_path, capsys):
+    docs = _small_corpus(tmp_path)
+    digests, transport = _seed_cache(tmp_path, docs, _FRANCE)
+    config = _write_config(tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}])
+    assert main(["--config", str(config), "extract"]) == 0
+    # As an older epix left it: no sidecar. Re-sending the old requests would fail.
+    (tmp_path / "out" / "state" / "m.json").unlink()
+    for digest in digests:
+        transport.cache_path(digest).unlink()
+    _add_document(tmp_path, docs)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    assert "m: 4 records (1 new)" in capsys.readouterr().out
+    assert (tmp_path / "out" / "state" / "m.json").exists()
+    # Adopted records then follow the sidecar rules: a template change redoes them.
+    _edit_config(config, lambda data: data["extractors"][0].update(template="three-shot"))
+    assert main(["--config", str(config), "extract"]) == 3
+
+
+def test_failure_on_one_document_keeps_the_finished_records(tmp_path, monkeypatch, capsys):
+    docs = _small_corpus(tmp_path)
+    _seed_cache(tmp_path, docs, _FRANCE)
+    # One worker takes the documents in order, so d2 fails after d0 and d1 are done.
+    config = _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}], concurrency=1
+    )
+    parse_fields = llm.parse_fields
+    parsed = []
+
+    def failing_on_d2(field_map, doc_id, *args, **kwargs):
+        parsed.append(doc_id)
+        if doc_id == "d2":
+            raise RuntimeError("parser fault")
+        return parse_fields(field_map, doc_id, *args, **kwargs)
+
+    monkeypatch.setattr(llm, "parse_fields", failing_on_d2)
+    with pytest.raises(RuntimeError, match="parser fault"):
+        main(["--config", str(config), "extract"])
+    assert parsed == ["d0", "d1", "d2"]
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1"]
+
+    def counted(field_map, doc_id, *args, **kwargs):
+        parsed.append(doc_id)
+        return parse_fields(field_map, doc_id, *args, **kwargs)
+
+    monkeypatch.setattr(llm, "parse_fields", counted)
+    parsed.clear()
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    assert parsed == ["d2"]
+    assert "m: 3 records (1 new)" in capsys.readouterr().out
+
+
+def test_resume_of_one_document_decodes_no_record_and_encodes_one_per_extractor(
+    tmp_path, monkeypatch
+):
+    docs, config = _three_extractors(tmp_path, n=6)
+    _add_document(tmp_path, docs)
+    calls = Counter()
+    decode, encode = ExtractionRecord.from_json, ExtractionRecord.to_json
+
+    def counted_decode(record):
+        calls["decode"] += 1
+        return decode(record)
+
+    def counted_encode(self):
+        calls["encode"] += 1
+        return encode(self)
+
+    monkeypatch.setattr(ExtractionRecord, "from_json", staticmethod(counted_decode))
+    monkeypatch.setattr(ExtractionRecord, "to_json", counted_encode)
+    assert main(["--config", str(config), "extract"]) == 0
+    assert calls == Counter(encode=len(_THREE))
+    for ext in _THREE:
+        assert [r["document_id"] for r in _predictions(tmp_path, ext)][-1] == "d9"
 
 
 def test_loading_a_config_does_not_import_requests(tmp_path):
@@ -463,6 +803,17 @@ def _edited_report(edit):
                 ],
             }
         ),
+        _edited_config(
+            lambda c: {
+                **c,
+                "extractors": [
+                    {"id": "a", "kind": "rule_based"},
+                    {"id": "b", "kind": "rule_based"},
+                    {"id": "ab", "kind": "ensemble", "members": ["a", "ba"]},
+                    {"id": "ba", "kind": "ensemble", "members": ["b", "ab"]},
+                ],
+            }
+        ),
         _edited_config(lambda c: [c]),
         *(
             _edited_config(lambda c, bad=bad: {**c, "extractors": [{"id": bad, "kind": "rule_based"}]})
@@ -477,7 +828,8 @@ def _edited_report(edit):
         _edited_report(lambda r: r["cells"]["rule"]["date"].update(tn=True)),
     ],
     ids=[
-        "match-mode", "transport-mode", "tie-break", "min-agreement", "top-level-list",
+        "match-mode", "transport-mode", "tie-break", "min-agreement", "ensemble-cycle",
+        "top-level-list",
         "id-parent", "id-dot", "id-escape", "id-slash", "id-backslash", "id-absolute",
         "id-nul", "id-number", "id-list",
         "torn-report", "report-cell-missing", "report-extractor-without-cells",

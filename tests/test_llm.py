@@ -237,6 +237,12 @@ def test_parse_fields_accepts_count_alias_and_numbers(gazetteer):
     assert record.count.value == 7
 
 
+def test_parse_fields_warns_on_a_numeral_too_long_to_convert(gazetteer):
+    record = parse_fields({"virus": "Zika", "cases": "9" * 5000}, "d1", "x", gazetteer)
+    assert (record.count, record.count_raw) == (None, "9" * 5000)
+    assert record.field_warnings == ("count",)
+
+
 # --- transport: replay, record, retries --------------------------------------------------
 
 

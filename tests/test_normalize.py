@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from datetime import date
 
 import pytest
@@ -123,6 +124,13 @@ def test_parse_count_absent():
     assert parse_count_expression("") is None
 
 
+def test_numeral_too_long_to_convert_is_no_count():
+    limit = sys.get_int_max_str_digits()
+    assert parse_count_expression("9" * limit + " cases").value == int("9" * limit)
+    assert parse_count_expression("9" * (limit + 1) + " cases") is None
+    assert parse_count_expression("9" * 5000) is None
+
+
 def test_case_count_rejects_negative():
     with pytest.raises(ValueError):
         CaseCount(-1)
@@ -183,14 +191,11 @@ def test_case_fold_letters_parse_as_their_ascii_letter():
     assert len(_CASE_FOLD_LETTERS) >= 3 and checked >= 20
 
 
-def test_rule_based_extract_reads_case_fold_letters(tmp_path, capsys):
+def _extract_one_post(tmp_path, text):
+    """The rule-based record of one ingested post."""
     raw = tmp_path / "raw"
     raw.mkdir()
-    (raw / "post.txt").write_text(
-        "Subject: PRO/EDR> Ebola - Guinea\n\n"
-        "Guinea reported ſix cases of Ebola on ſep 3, 2019.\n",
-        encoding="utf-8",
-    )
+    (raw / "post.txt").write_text(text, encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"
     assert main(["ingest", "--source", "promed", str(raw), "--out", str(corpus)]) == 0
     config = tmp_path / "run.json"
@@ -201,9 +206,25 @@ def test_rule_based_extract_reads_case_fold_letters(tmp_path, capsys):
     }), encoding="utf-8")
     assert main(["--config", str(config), "extract"]) == 0
     [record] = (tmp_path / "out" / "predictions" / "rule.jsonl").read_text().splitlines()
-    record = json.loads(record)
+    return json.loads(record)
+
+
+def test_rule_based_extract_reads_case_fold_letters(tmp_path):
+    record = _extract_one_post(
+        tmp_path,
+        "Subject: PRO/EDR> Ebola - Guinea\n\nGuinea reported ſix cases of Ebola on ſep 3, 2019.\n",
+    )
     assert record["count"]["value"] == 6
     assert record["date"]["iso"] == "2019-09-03"
+
+
+def test_rule_based_extract_skips_a_numeral_too_long_to_convert(tmp_path):
+    record = _extract_one_post(
+        tmp_path,
+        "Subject: PRO/EDR> Ebola - Guinea\n\n"
+        f"Guinea reported {'9' * 5000} cases of Ebola and 12 deaths.\n",
+    )
+    assert record["count"]["value"] == 12
 
 
 # --- values_match -----------------------------------------------------------------
