@@ -45,7 +45,7 @@ from .errors import (
     TransportError,
 )
 from .evaluation import REPORT_FORMATS, EvaluationReport, MatchMode, evaluate, render_report
-from .gazetteer import default_gazetteer
+from .gazetteer import bundled_digest, default_gazetteer
 from .llm import Sampling, Transport, TransportMode, default_registry, load_template
 
 EXIT_OK = 0
@@ -223,15 +223,18 @@ def _parse_run_config(data) -> RunConfig:
 def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> dict[str, str]:
     """Each extractor's sha256 over canonical JSON of everything that decides its records.
 
-    A model extractor's covers its model profile, template and the
-    sampling; an ensemble's its members' fingerprints and its policy.
-    Where answers come from is left out: the transport mode and the
-    endpoint, which the request digest keying the cache omits too. Members
-    come before their ensembles in the result; an ensemble that is,
-    through its members, its own member is a ConfigError.
+    A rule-based extractor's covers the bundled gazetteer tables; a model
+    extractor's its model profile, template and the sampling; an
+    ensemble's its members' ids and its policy (its input digests cover
+    its members' records, so their fingerprints would add nothing). Where
+    answers come from is left out: the transport mode and the endpoint,
+    which the request digest keying the cache omits too. Members come
+    before their ensembles in the result; an ensemble that is, through its
+    members, its own member is a ConfigError.
     """
     specs = {spec.id: spec for spec in extractors}
     done: dict[str, str] = {}
+    gazetteer = bundled_digest()
 
     def visit(spec: ExtractorSpec, within: tuple[str, ...]) -> str:
         if spec.id in done:
@@ -239,13 +242,17 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
         if spec.id in within:
             raise ConfigError(f"ensemble {spec.id!r} is a member of itself via {list(within)}")
         source: dict = {"kind": spec.kind}
+        if spec.kind == RULE_BASED:
+            source["gazetteer"] = gazetteer
         if spec.profile is not None:
             source["model"] = {k: v for k, v in vars(spec.profile).items() if k != "endpoint"}
             source["template"] = spec.template
             source["sampling"] = sampling
         if spec.ensemble is not None:
             inner = (*within, spec.id)
-            source["members"] = [[m, visit(specs[m], inner)] for m in spec.ensemble.members]
+            for member in spec.ensemble.members:
+                visit(specs[member], inner)
+            source["members"] = spec.ensemble.members
             source["policy"] = spec.ensemble.policy
         # Dataclasses encode as their fields (``default=vars``).
         canonical = json.dumps(

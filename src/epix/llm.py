@@ -8,6 +8,7 @@ of the four answer fields into an ExtractionRecord.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
+from urllib.parse import urlsplit
 
 from .corpus import Document, ExtractionRecord, write_atomic
 from .errors import (
@@ -284,6 +286,46 @@ def _content_of(response_body: dict) -> str:
         raise TransportError(f"malformed completion response: {response_body!r}") from None
 
 
+def _endpoint_address(endpoint: str) -> tuple[bool, str, int, str]:
+    """Whether an endpoint URL is https, and its host, port and request target.
+
+    Anything but an http or https URL with a host, in printable ASCII
+    without spaces as a request line needs it, is a ConfigError naming the
+    endpoint.
+    """
+    try:
+        parts = urlsplit(endpoint)
+        port = parts.port
+    except ValueError:
+        parts = None
+    if (
+        parts is None
+        or parts.scheme not in ("http", "https")
+        or not parts.hostname
+        or not (endpoint.isascii() and endpoint.isprintable())
+        or " " in endpoint
+    ):
+        raise ConfigError(
+            f"model endpoint {endpoint!r} is not an http:// or https:// URL with a host, "
+            f"in printable ASCII without spaces (set {ENDPOINT_ENV})"
+        )
+    https = parts.scheme == "https"
+    if port is None:
+        port = 443 if https else 80
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    return https, parts.hostname, port, target
+
+
+@functools.cache
+def _tls_context():
+    """The default client context, certificates checked; built once, as it loads the CA store."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
 def complete(
     transport: Transport,
     model: ModelProfile,
@@ -292,8 +334,9 @@ def complete(
 ) -> str:
     """Send one chat completion and return the model text.
 
-    Transient failures (connection errors, 429/5xx) are retried with
-    exponential backoff up to the transport's attempt limit.
+    Each attempt opens one connection and closes it. Transient failures
+    (connection errors, 429/5xx) are retried with exponential backoff up to
+    the transport's attempt limit; redirects are not followed.
     """
     digest = request_digest(model.name, messages, sampling)
     if transport.mode is TransportMode.REPLAY:
@@ -302,45 +345,63 @@ def complete(
             raise CacheMiss(f"no cached response for digest {digest}")
         return _content_of(entry["response"])
 
+    https, host, port, target = _endpoint_address(model.endpoint)
     api_key = os.environ.get(API_KEY_ENV)
     if not api_key:
         raise AuthError(f"{API_KEY_ENV} is not set; required for {transport.mode.value} mode")
     # Imported here so that replay-only runs never pay for loading it.
-    import requests
+    import http.client
 
+    if https:
+        connect = functools.partial(http.client.HTTPSConnection, context=_tls_context())
+    else:
+        connect = http.client.HTTPConnection
     request_body = _request_body(model.name, messages, sampling)
-    headers = {"Authorization": f"Bearer {api_key}"}
+    payload = json.dumps(request_body).encode("utf-8")
+    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
 
     last_error: Exception | None = None
     for attempt in range(transport.max_attempts):
         if attempt:
             time.sleep(transport.backoff_base * 2 ** (attempt - 1))
+        conn = connect(host, port, timeout=REQUEST_TIMEOUT_S)
         try:
-            response = requests.post(
-                model.endpoint, json=request_body, headers=headers, timeout=REQUEST_TIMEOUT_S
-            )
-        except requests.RequestException as exc:
+            conn.request("POST", target, body=payload, headers=headers)
+            response = conn.getresponse()
+            status, data = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
             logger.warning("attempt %d/%d failed: %s", attempt + 1, transport.max_attempts, exc)
             continue
-        if response.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected credential (HTTP {response.status_code})")
-        if response.status_code in _RETRYABLE_STATUSES:
-            last_error = TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
+        except ValueError:  # a refused Authorization header; the message would show the key
+            raise ConfigError(
+                f"{API_KEY_ENV} holds a character that an HTTP header cannot carry"
+            ) from None
+        finally:
+            conn.close()
+        if status in (401, 403):
+            raise AuthError(f"endpoint rejected credential (HTTP {status})")
+        if status != 200:
+            error = TransportError(
+                f"{model.endpoint}: HTTP {status}: {data[:200].decode('utf-8', 'replace')}"
+            )
+            if status not in _RETRYABLE_STATUSES:
+                raise error
+            last_error = error
             logger.warning(
-                "attempt %d/%d got HTTP %d", attempt + 1, transport.max_attempts,
-                response.status_code,
+                "attempt %d/%d got HTTP %d", attempt + 1, transport.max_attempts, status
             )
             continue
-        if response.status_code != 200:
-            raise TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
-        response_body = response.json()
+        try:
+            response_body = json.loads(data)
+        except ValueError as exc:
+            raise TransportError(f"{model.endpoint}: HTTP 200 reply is not JSON ({exc})") from None
         content = _content_of(response_body)
         if transport.mode is TransportMode.RECORD:
             transport.write_cached(digest, request_body, response_body)
         return content
     raise TransportError(
-        f"request failed after {transport.max_attempts} attempts: {last_error}"
+        f"{model.endpoint}: request failed after {transport.max_attempts} attempts: {last_error}"
     )
 
 

@@ -440,6 +440,19 @@ def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
         assert f"{ext}: 3 records (0 new)" in out
 
 
+def test_changed_gazetteer_reextracts_every_rule_based_document(tmp_path, monkeypatch, capsys):
+    _, config = _three_extractors(tmp_path)
+    before = {ext: _predictions(tmp_path, ext) for ext in _THREE}
+    monkeypatch.setattr(cli, "bundled_digest", lambda: "0" * 64)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    assert "rule: 3 records (3 new)" in out
+    # The rule records came out the same, so the model's and the vote stand.
+    assert "m: 3 records (0 new)" in out and "ens: 3 records (0 new)" in out
+    assert {ext: _predictions(tmp_path, ext) for ext in _THREE} == before
+
+
 @pytest.mark.parametrize("later", [False, True], ids=["same-run", "later-run"])
 def test_ensemble_revotes_where_a_member_redid_its_records(tmp_path, capsys, later):
     docs, config = _three_extractors(tmp_path)
@@ -584,14 +597,78 @@ def test_loading_a_config_does_not_import_requests(tmp_path):
     )
     probe = (
         "import sys, epix.cli; epix.cli.load_run_config(sys.argv[1]); "
-        "print('requests' in sys.modules)"
+        "print([m for m in ('requests', 'http.client') if m in sys.modules])"
     )
     src = Path(__file__).parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", probe, str(config)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def _answer(text):
+    return {"choices": [{"message": {"role": "assistant", "content": text}}]}
+
+
+def _record_config(tmp_path, monkeypatch, endpoint, **extra):
+    """A config recording one model over the small corpus from ``endpoint``."""
+    _small_corpus(tmp_path)
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    monkeypatch.setenv("EPIX_ENDPOINT", endpoint)
+    return _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}],
+        transport={"mode": "record", "cache_dir": str(tmp_path / "cache"), "backoff_base": 0},
+        **extra,
+    )
+
+
+def test_record_extract_runs_without_requests(tmp_path, monkeypatch, stub_server):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_FRANCE))]
+    config = _record_config(tmp_path, monkeypatch, endpoint)
+    probe = (
+        "import sys; sys.modules['requests'] = None; import epix.cli; "
+        "sys.exit(epix.cli.main(['--config', sys.argv[1], 'extract']))"
+    )
+    src = Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(config)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(handler.seen) == 3
+    assert [r["country"]["alpha3"] for r in _predictions(tmp_path, "m")] == ["FRA"] * 3
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 3
+
+
+def test_reply_that_is_not_json_exits_3_keeping_finished_records(
+    tmp_path, monkeypatch, capsys, stub_server
+):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_FRANCE))] * 2 + [(200, b"<html>busy</html>")]
+    # One worker takes the documents in order, so d2 gets the bad reply.
+    config = _record_config(tmp_path, monkeypatch, endpoint, concurrency=1)
+    assert main(["--config", str(config), "extract"]) == 3
+    err = capsys.readouterr().err
+    assert endpoint in err and "HTTP 200" in err and "'d2'" in err
+    assert len(handler.seen) == 3
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1"]
+
+
+@pytest.mark.parametrize("scheme", ["", "ftp://"], ids=["no-scheme", "ftp"])
+def test_endpoint_that_is_not_an_http_url_exits_2_before_any_request(
+    tmp_path, monkeypatch, capsys, stub_server, scheme
+):
+    handler, endpoint = stub_server
+    bad = scheme + endpoint.removeprefix("http://")
+    config = _record_config(tmp_path, monkeypatch, bad)
+    monkeypatch.setattr("time.sleep", None)
+    assert main(["--config", str(config), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert repr(bad) in err and "EPIX_ENDPOINT" in err
+    assert handler.seen == []
+    assert not (tmp_path / "out" / "predictions" / "m.jsonl").exists()
 
 
 def test_extract_unknown_model_exits_2(tmp_path, capsys):

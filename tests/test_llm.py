@@ -1,6 +1,7 @@
-import http.server
+import http.client
 import json
-import threading
+import socket
+import ssl
 from datetime import date
 
 import pytest
@@ -269,37 +270,6 @@ def test_live_requires_credential(tmp_path, monkeypatch):
         complete(transport, profile, [{"role": "user", "content": "q"}])
 
 
-class _StubHandler(http.server.BaseHTTPRequestHandler):
-    responses = []
-    requests_seen = 0
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        type(self).requests_seen += 1
-        status, body = self.responses[min(type(self).requests_seen - 1, len(self.responses) - 1)]
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(json.dumps(body).encode())
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def stub_server():
-    class Handler(_StubHandler):
-        responses = []
-        requests_seen = 0
-
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield Handler, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-
-
 def _ok_body(text):
     return {"choices": [{"message": {"role": "assistant", "content": text}}]}
 
@@ -311,7 +281,7 @@ def test_retries_two_503s_then_success(stub_server, monkeypatch):
     transport = Transport(mode=TransportMode.LIVE, max_attempts=3, backoff_base=0.0)
     profile = ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
     assert complete(transport, profile, [{"role": "user", "content": "q"}]) == "finally"
-    assert handler.requests_seen == 3
+    assert len(handler.seen) == 3
 
 
 def test_retries_exhausted(stub_server, monkeypatch):
@@ -322,7 +292,7 @@ def test_retries_exhausted(stub_server, monkeypatch):
     profile = ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
     with pytest.raises(TransportError):
         complete(transport, profile, [{"role": "user", "content": "q"}])
-    assert handler.requests_seen == 2
+    assert len(handler.seen) == 2
 
 
 def test_auth_rejection_is_not_retried(stub_server, monkeypatch):
@@ -333,7 +303,7 @@ def test_auth_rejection_is_not_retried(stub_server, monkeypatch):
     profile = ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
     with pytest.raises(AuthError):
         complete(transport, profile, [{"role": "user", "content": "q"}])
-    assert handler.requests_seen == 1
+    assert len(handler.seen) == 1
 
 
 def test_record_mode_writes_cache_then_replays(stub_server, monkeypatch, tmp_path):
@@ -349,7 +319,164 @@ def test_record_mode_writes_cache_then_replays(stub_server, monkeypatch, tmp_pat
 
     replay = Transport(mode=TransportMode.REPLAY, cache_dir=tmp_path)
     assert complete(replay, profile, messages) == "recorded"
-    assert handler.requests_seen == 1
+    assert len(handler.seen) == 1
+
+
+def _live(endpoint, max_attempts=3):
+    transport = Transport(mode=TransportMode.LIVE, max_attempts=max_attempts, backoff_base=0.0)
+    return transport, ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
+
+
+def test_refused_connection_is_tried_max_attempts_times(monkeypatch):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    connects = []
+    connect = http.client.HTTPConnection.connect
+
+    def counted(self):
+        connects.append(self.port)
+        return connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counted)
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    transport, profile = _live(f"http://127.0.0.1:{port}/v1/chat/completions")
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        complete(transport, profile, [{"role": "user", "content": "q"}])
+    assert connects == [port] * 3
+
+
+def test_server_closing_without_an_answer_is_retried(stub_server, monkeypatch):
+    handler, endpoint = stub_server
+    handler.responses = [(None, None), (200, _ok_body("second"))]
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    transport, profile = _live(endpoint)
+    assert complete(transport, profile, [{"role": "user", "content": "q"}]) == "second"
+    assert len(handler.seen) == 2
+
+
+def test_request_carries_token_content_type_path_and_query(stub_server, monkeypatch):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _ok_body("ok"))]
+    monkeypatch.setenv("EPIX_API_KEY", "secret-key")
+    transport, profile = _live(endpoint + "?api-version=2024-02-01")
+    messages = [{"role": "user", "content": "q"}]
+    assert complete(transport, profile, messages, Sampling(max_tokens=7)) == "ok"
+    [(path, headers, body)] = handler.seen
+    assert path == "/v1/chat/completions?api-version=2024-02-01"
+    assert headers["Authorization"] == "Bearer secret-key"
+    assert headers["Content-Type"] == "application/json"
+    assert json.loads(body) == {
+        "model": "m", "messages": messages, "temperature": 0.0, "max_tokens": 7
+    }
+
+
+def test_redirect_is_not_followed(stub_server, monkeypatch):
+    handler, endpoint = stub_server
+    handler.responses = [(302, {})]
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    transport, profile = _live(endpoint)
+    with pytest.raises(TransportError, match="HTTP 302"):
+        complete(transport, profile, [{"role": "user", "content": "q"}])
+    assert [path for path, _, _ in handler.seen] == ["/v1/chat/completions"]
+
+
+def test_reply_that_is_not_json_is_not_retried(stub_server, monkeypatch):
+    handler, endpoint = stub_server
+    handler.responses = [(200, b"<html>busy</html>")]
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    transport, profile = _live(endpoint)
+    with pytest.raises(TransportError) as excinfo:
+        complete(transport, profile, [{"role": "user", "content": "q"}])
+    assert endpoint in str(excinfo.value) and "HTTP 200" in str(excinfo.value)
+    assert len(handler.seen) == 1
+
+
+class _FakeHTTPS:
+    """Stands in for ``http.client.HTTPSConnection``; ``fail`` is raised by each request."""
+
+    opened = []
+    fail = None
+
+    def __init__(self, host, port, timeout, context):
+        self.opened.append((host, port, context))
+
+    def request(self, method, target, body, headers):
+        if self.fail is not None:
+            raise self.fail
+        self.opened.append((method, target))
+
+    def getresponse(self):
+        reply = json.dumps(_ok_body("over tls")).encode()
+        return type("Reply", (), {"status": 200, "read": lambda self: reply})()
+
+    def close(self):
+        pass
+
+
+@pytest.fixture()
+def fake_https(monkeypatch):
+    class Fake(_FakeHTTPS):
+        opened = []
+
+    monkeypatch.setattr(http.client, "HTTPSConnection", Fake)
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    return Fake
+
+
+def test_https_endpoint_opens_a_verified_tls_connection(fake_https):
+    transport, profile = _live("https://localhost/v1/chat/completions")
+    assert complete(transport, profile, [{"role": "user", "content": "q"}]) == "over tls"
+    (host, port, context), request = fake_https.opened
+    assert (host, port, request) == ("localhost", 443, ("POST", "/v1/chat/completions"))
+    assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+
+
+def test_failed_certificate_check_is_retried(fake_https):
+    fake_https.fail = ssl.SSLCertVerificationError("certificate verify failed")
+    transport, profile = _live("https://localhost/v1/chat/completions", max_attempts=2)
+    with pytest.raises(TransportError, match="certificate verify failed"):
+        complete(transport, profile, [{"role": "user", "content": "q"}])
+    assert len(fake_https.opened) == 2
+
+
+def test_key_that_a_header_cannot_carry_is_refused_without_showing_it(stub_server, monkeypatch):
+    handler, endpoint = stub_server
+    monkeypatch.setenv("EPIX_API_KEY", "secret\nkey")
+    monkeypatch.setattr("time.sleep", None)
+    transport, profile = _live(endpoint)
+    with pytest.raises(ConfigError, match="EPIX_API_KEY") as excinfo:
+        complete(transport, profile, [{"role": "user", "content": "q"}])
+    assert "secret" not in str(excinfo.value)
+    assert handler.seen == []
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "localhost:8080/v1/chat/completions",
+        "ftp://127.0.0.1/v1",
+        "http:///v1",
+        "http://127.0.0.1/v1 chat",
+        "http://127.0.0.1/v1/\u00e9",
+    ],
+    ids=["no-scheme", "ftp", "no-host", "space", "non-ascii"],
+)
+def test_endpoint_that_is_not_an_http_url_is_refused_before_any_request(
+    endpoint, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    monkeypatch.setattr(http.client, "HTTPConnection", None)
+    monkeypatch.setattr("time.sleep", None)
+    transport, profile = _live(endpoint)
+    messages = [{"role": "user", "content": "q"}]
+    with pytest.raises(ConfigError, match="EPIX_ENDPOINT") as excinfo:
+        complete(transport, profile, messages)
+    assert repr(endpoint) in str(excinfo.value)
+    # Replay never looks at the endpoint.
+    replay = Transport(mode=TransportMode.REPLAY, cache_dir=tmp_path)
+    replay.put(profile, messages, Sampling(), "cached")
+    assert complete(replay, profile, messages) == "cached"
 
 
 # --- end-to-end extraction over replay ------------------------------------------------
