@@ -30,6 +30,7 @@ from .corpus import (
     parse_promed_post,
     read_jsonl,
     save_corpus,
+    stored_keys,
     with_id,
     write_atomic,
 )
@@ -44,7 +45,14 @@ from .errors import (
     SchemaError,
     TransportError,
 )
-from .evaluation import REPORT_FORMATS, EvaluationReport, MatchMode, evaluate, render_report
+from .evaluation import (
+    REPORT_FORMATS,
+    EvaluationReport,
+    MatchMode,
+    evaluate,
+    record_keys,
+    render_report,
+)
 from .gazetteer import bundled_digest, default_gazetteer
 from .llm import Sampling, Transport, TransportMode, default_registry, load_template
 
@@ -293,14 +301,6 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
     return EXIT_OK
 
 
-def _read_predictions(path: Path) -> dict[str, ExtractionRecord]:
-    """A predictions file's records by document id; none when there is no file yet."""
-    if not path.exists():
-        return {}
-    records = read_jsonl(path, ExtractionRecord.from_json, unique=attrgetter("document_id"))
-    return {record.document_id: record for record in records}
-
-
 def _digest(*parts: str) -> str:
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
@@ -332,6 +332,16 @@ def _read_state(path: Path) -> Optional[dict]:
     ):
         raise SchemaError(f"{path}: unreadable resume state")
     return state
+
+
+def _committed(data: bytes, state: dict):
+    """The running SHA-256 of the committed bytes, when ``data`` starts with
+    the bytes the sidecar ``state`` vouches for; else None."""
+    length = state["length"]
+    committed = hashlib.sha256(data[:length])
+    if len(data) < length or committed.hexdigest() != state["sha256"]:
+        return None
+    return committed
 
 
 @dataclass
@@ -373,11 +383,10 @@ def _stored(config: RunConfig, extractor_id: str, inputs: dict[str, str]) -> _St
     state = _read_state(config.state_path(extractor_id))
     if state is None:
         return _Stored(inputs, data, current=None)
-    length = state["length"]
-    committed = hashlib.sha256(data[:length])
-    if len(data) < length or committed.hexdigest() != state["sha256"]:
+    committed = _committed(data, state)
+    if committed is None:
         return _Stored(inputs, data, state)
-    documents = state["documents"]
+    length, documents = state["length"], state["documents"]
     current = {}
     if state["fingerprint"] == config.fingerprints[extractor_id]:
         current = {d: entry for d, entry in documents.items() if inputs.get(d) == entry[0]}
@@ -598,6 +607,32 @@ def _corpus_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
+    """The comparison keys of an extractor's records, by document id.
+
+    When the sidecar vouches for every byte of the predictions file, the
+    keys are read from the stored tags without decoding any record. Any
+    other file (no sidecar or an unreadable one, a length or digest that
+    differs, lines past the committed bytes) is decoded and validated in
+    full, so an edited line is still an input error naming the line.
+    """
+    path = config.predictions_path(extractor_id)
+    data = path.read_bytes()
+    try:
+        state = _read_state(config.state_path(extractor_id))
+    except (SchemaError, OSError):
+        state = None
+    if state is not None and len(data) == state["length"] and _committed(data, state) is not None:
+        try:
+            return stored_keys(data)
+        except (LookupError, TypeError, ValueError, AttributeError):
+            pass  # not what epix writes: the full read below names the fault
+    records = read_jsonl(
+        path, ExtractionRecord.from_json, unique=attrgetter("document_id"), data=data
+    )
+    return record_keys(records)
+
+
 def cmd_evaluate(config: RunConfig) -> int:
     """Score all extractors against gold and write every report format."""
     if config.gold is None:
@@ -610,7 +645,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         if not path.exists():
             print(f"error: no predictions for extractor {spec.id!r} at {path}", file=sys.stderr)
             return EXIT_EVALUATION
-        records_by_extractor[spec.id] = list(_read_predictions(path).values())
+        records_by_extractor[spec.id] = _prediction_keys(config, spec.id)
 
     report = evaluate(
         records_by_extractor,

@@ -179,6 +179,9 @@ class ExtractionRecord:
             if obj is not None:
                 values[f"{name}_raw"] = obj.get("raw")
                 values[name] = row.decode(obj) if row.tag in obj else None
+                # A null tag would make a value whose comparison key reads as absent.
+                if values[name] is not None and obj[row.tag] is None:
+                    raise SchemaError(f"{name}: {row.tag} must not be null")
         ids = record.get("document_id"), record.get("extractor_id")
         if not all(isinstance(i, str) and i for i in ids):
             raise SchemaError("a record needs a document_id and an extractor_id")
@@ -355,33 +358,43 @@ def read_jsonl(
 ) -> list:
     """Decode every non-blank line of a JSON-lines file, in order.
 
-    A line that is not a JSON object, that ``decode`` rejects, or whose
-    ``unique(item)`` repeats an earlier line's is a SchemaError naming the
-    file and the line. ``data``, when given, is the file's content already
-    read, and ``path`` only names it.
+    A line that is not UTF-8, not a JSON object, that ``decode`` rejects, or
+    whose ``unique(item)`` repeats an earlier line's is a SchemaError naming
+    the file and the line. ``data``, when given, is the file's content
+    already read, and ``path`` only names it.
     """
     items = []
     seen = set()
     source = open(path, "rb") if data is None else io.BytesIO(data)
-    with io.TextIOWrapper(source, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise SchemaError("not a JSON object")
-                item = decode(data)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: invalid JSON ({exc.msg})", line=lineno) from None
-            except (SchemaError, AttributeError, LookupError, TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: {exc}", line=lineno) from None
-            if unique is not None:
-                key = unique(item)
-                if key in seen:
-                    raise SchemaError(f"{path}: duplicate document id {key!r}", line=lineno)
-                seen.add(key)
-            items.append(item)
+    try:
+        with io.TextIOWrapper(source, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise SchemaError("not a JSON object")
+                    item = decode(obj)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}: invalid JSON ({exc.msg})", line=lineno) from None
+                except (SchemaError, AttributeError, LookupError, TypeError, ValueError) as exc:
+                    raise SchemaError(f"{path}: {exc}", line=lineno) from None
+                if unique is not None:
+                    key = unique(item)
+                    if key in seen:
+                        raise SchemaError(f"{path}: duplicate document id {key!r}", line=lineno)
+                    seen.add(key)
+                items.append(item)
+    except UnicodeDecodeError:
+        # The wrapper decodes ahead in blocks, so its error does not tell the line.
+        data = Path(path).read_bytes() if data is None else data
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise SchemaError(f"{path}: invalid UTF-8", line=line) from None
+        raise
     return items
 
 
@@ -405,6 +418,32 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
 def json_line(item) -> bytes:
     """``item.to_json()`` as one line of a JSON-lines file."""
     return (json.dumps(item.to_json(), ensure_ascii=False) + "\n").encode("utf-8")
+
+
+_TAGS = tuple((name, row.tag) for name, row in FIELD_TABLE.items())
+
+
+def stored_keys(data: bytes) -> dict[str, tuple]:
+    """The comparison keys, in FIELDS order and by document id, of the
+    ExtractionRecords in a JSON-lines file, read without decoding them.
+
+    A field's key is its stored tag (``FIELD_TABLE[f].tag``): ``json_line``
+    writes ``FIELD_TABLE[f].key`` of the normalized value there. Only bytes
+    that ``json_line`` wrote may be read this way; a line it could not have
+    written raises LookupError, TypeError or ValueError.
+    """
+    keys: dict[str, tuple] = {}
+    for line in data.decode("utf-8").split("\n"):
+        if not line:
+            continue
+        record = json.loads(line)
+        doc_id = record["document_id"]
+        if doc_id in keys:
+            raise ValueError(f"repeated document id {doc_id!r}")
+        keys[doc_id] = tuple(
+            None if (stored := record.get(f)) is None else stored.get(tag) for f, tag in _TAGS
+        )
+    return keys
 
 
 def write_jsonl(items: Iterable, path: str | Path) -> None:

@@ -11,15 +11,14 @@ import csv
 import dataclasses
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .corpus import ExtractionRecord, GoldAnnotation
 from .errors import AlignmentError, EmptyReport, SchemaError
-from .normalize import FIELDS, values_match
+from .normalize import FIELDS, comparison_key, values_match
 
 
 class MatchMode(str, Enum):
@@ -73,43 +72,53 @@ def classify_pair(gold, pred, field: str, mode: MatchMode) -> Outcome:
     return Outcome.TP if values_match(field, gold, pred) else Outcome.FP
 
 
-def _tally(
-    golds: Sequence[GoldAnnotation],
-    preds: Sequence[ExtractionRecord],
-    fields: Sequence[str],
-    mode: MatchMode,
-) -> dict[str, ConfusionCounts]:
-    """Per field, classify_pair outcomes over the gold documents, in one aligned walk.
-
-    Every gold document must have exactly one prediction record (whose field
-    values may be absent); predictions for documents outside the gold set are
-    ignored, so a full-corpus prediction file can be scored on a subset.
-    """
-    by_id: dict[str, ExtractionRecord] = {}
-    for record in preds:
-        if record.document_id in by_id:
-            raise AlignmentError(f"duplicate prediction for document {record.document_id!r}")
-        by_id[record.document_id] = record
-
-    outcomes = {field: Counter() for field in fields}
-    seen: set[str] = set()
+def gold_keys(golds: Iterable[GoldAnnotation]) -> dict[str, tuple]:
+    """Each gold document's comparison keys, in FIELDS order, by document id."""
+    keys: dict[str, tuple] = {}
     for gold in golds:
-        if gold.document_id in seen:
+        if gold.document_id in keys:
             raise AlignmentError(f"duplicate gold annotation for {gold.document_id!r}")
-        seen.add(gold.document_id)
-        record = by_id.get(gold.document_id)
-        if record is None:
-            raise AlignmentError(f"no prediction for gold document {gold.document_id!r}")
-        for field in fields:
-            outcome = classify_pair(
-                gold.value(field), record.normalized_value(field), field, mode
-            )
-            outcomes[field][outcome] += 1
-    # Outcome lists TP, FP, FN, TN in the order of the ConfusionCounts fields.
-    return {
-        field: ConfusionCounts(*(counter[outcome] for outcome in Outcome))
-        for field, counter in outcomes.items()
-    }
+        keys[gold.document_id] = tuple(comparison_key(f, gold.value(f)) for f in FIELDS)
+    return keys
+
+
+def record_keys(records: Iterable[ExtractionRecord]) -> dict[str, tuple]:
+    """Each record's comparison keys, in FIELDS order, by document id."""
+    keys: dict[str, tuple] = {}
+    for record in records:
+        if record.document_id in keys:
+            raise AlignmentError(f"duplicate prediction for document {record.document_id!r}")
+        keys[record.document_id] = tuple(
+            comparison_key(f, record.normalized_value(f)) for f in FIELDS
+        )
+    return keys
+
+
+def tally(
+    golds: Mapping[str, tuple], preds: Mapping[str, tuple], mode: MatchMode
+) -> dict[str, ConfusionCounts]:
+    """Per field, the classify_pair outcomes over the gold documents, from comparison keys.
+
+    ``golds`` and ``preds`` are ``gold_keys`` and ``record_keys`` maps. Every
+    gold document must have a prediction (whose keys may be absent);
+    predictions for documents outside the gold set are ignored, so a
+    full-corpus prediction file can be scored on a subset.
+    """
+    # Per field, the TP, FP, FN and TN counts, in the order of the ConfusionCounts fields.
+    counts = [[0, 0, 0, 0] for _ in FIELDS]
+    strict = mode is MatchMode.STRICT_VALUE
+    for doc_id, gold in golds.items():
+        pred = preds.get(doc_id)
+        if pred is None:
+            raise AlignmentError(f"no prediction for gold document {doc_id!r}")
+        for cell, g, p in zip(counts, gold, pred):
+            if g is None:
+                cell[3 if p is None else 1] += 1
+            elif p is None:
+                cell[2] += 1
+            else:
+                cell[1 if strict and g != p else 0] += 1
+    return {field: ConfusionCounts(*cell) for field, cell in zip(FIELDS, counts)}
 
 
 def accumulate_confusion(
@@ -123,7 +132,7 @@ def accumulate_confusion(
     The one-field case of what ``evaluate`` tallies, with the same alignment
     rules and errors.
     """
-    return _tally(golds, preds, (field,), mode)[field]
+    return tally(gold_keys(golds), record_keys(preds), mode)[field]
 
 
 def precision(c: ConfusionCounts) -> float:
@@ -204,19 +213,25 @@ class EvaluationReport:
 
 
 def evaluate(
-    records_by_extractor: Mapping[str, Sequence[ExtractionRecord]],
+    records_by_extractor: Mapping[str, Sequence[ExtractionRecord] | Mapping[str, tuple]],
     golds: Sequence[GoldAnnotation],
     mode: MatchMode = MatchMode.STRICT_VALUE,
     gold_path: str | None = None,
     corpus_digest: str | None = None,
     timestamp: str | None = None,
 ) -> EvaluationReport:
-    """Score every extractor on every field against the gold annotations."""
+    """Score every extractor on every field against the gold annotations.
+
+    An extractor's records may come as a sequence or already as their
+    ``record_keys`` map. The gold keys are computed once for all extractors.
+    """
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
+    gold = gold_keys(golds)
     cells: dict[str, dict[str, ReportCell]] = {}
     for extractor, records in records_by_extractor.items():
-        counts = _tally(golds, records, FIELDS, mode)
+        keys = records if isinstance(records, Mapping) else record_keys(records)
+        counts = tally(gold, keys, mode)
         cells[extractor] = {field: ReportCell(c, metric_triple(c)) for field, c in counts.items()}
     return EvaluationReport(
         mode=mode,

@@ -220,6 +220,79 @@ def test_torn_predictions_line_exits_2(tmp_path, capsys, damage, line):
         assert str(predictions) in err and f"line {line}" in err, command
 
 
+@pytest.mark.parametrize(
+    "name, commands",
+    [
+        ("corpus.jsonl", ("extract",)),
+        ("gold.jsonl", ("evaluate",)),
+        ("out/predictions/rule.jsonl", ("evaluate", "extract")),
+    ],
+    ids=["corpus", "gold", "predictions"],
+)
+def test_invalid_utf8_line_exits_2_naming_the_file_and_line(tmp_path, capsys, name, commands):
+    config = _extract_and_evaluate(tmp_path)
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(1, b'{"document_id": "d\xff"}\n')
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    for command in commands:
+        assert main(["--config", str(config), command]) == 2, command
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 2" in err and "UTF-8" in err, command
+
+
+def _edit_line(index, before, after):
+    def edit(data):
+        lines = data.splitlines(keepends=True)
+        assert before in lines[index]
+        lines[index] = lines[index].replace(before, after)
+        return b"".join(lines)
+
+    return edit
+
+
+def _append_edited_copy(data):
+    line = data.splitlines(keepends=True)[0]
+    return data + line.replace(b'"d0"', b'"d9"').replace(b'"CASE"', b'"BOGUS"')
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (_edit_line(1, b'"attribute": "CASE"', b'"attribute": "BOGUS"'), 2),
+        (_edit_line(1, b'"iso": "2019-03-02"', b'"iso": "2019-02-30"'), 2),
+        (_edit_line(1, b'"canonical_id": "measles"', b'"canonical_id": null'), 2),
+        (_append_edited_copy, 4),
+    ],
+    ids=["count-attribute", "date", "null-disease-id", "line-past-the-committed-bytes"],
+)
+def test_hand_edited_value_exits_2_though_the_line_is_json(tmp_path, capsys, edit, line):
+    config = _extract_and_evaluate(tmp_path)
+    predictions = tmp_path / "out" / "predictions" / "rule.jsonl"
+    predictions.write_bytes(edit(predictions.read_bytes()))
+    capsys.readouterr()
+    for command in ("evaluate", "extract"):
+        assert main(["--config", str(config), command]) == 2, command
+        err = capsys.readouterr().err
+        assert str(predictions) in err and f"line {line}" in err, command
+
+
+def test_unreadable_sidecar_leaves_evaluate_as_it_was(tmp_path):
+    config = _extract_and_evaluate(tmp_path)
+    out = tmp_path / "out"
+    before = (out / "report.csv").read_bytes()
+    sidecar = out / "state" / "rule.json"
+    sidecar.write_text("{corrupt", encoding="utf-8")
+    assert main(["--config", str(config), "evaluate"]) == 0
+    assert (out / "report.csv").read_bytes() == before
+    # A sidecar that cannot be read at all is no different.
+    sidecar.unlink()
+    sidecar.mkdir()
+    assert main(["--config", str(config), "evaluate"]) == 0
+    assert (out / "report.csv").read_bytes() == before
+
+
 def test_ensemble_votes_alike_from_memory_and_from_member_files(tmp_path):
     docs = _small_corpus(tmp_path)
     _seed_cache(

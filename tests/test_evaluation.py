@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
-from epix.corpus import GoldAnnotation
+from epix.corpus import GoldAnnotation, json_line, stored_keys
 from epix.ensemble import ExtractionRecord
 from epix.errors import AlignmentError, EmptyReport
 from epix.evaluation import (
@@ -23,13 +23,16 @@ from epix.evaluation import (
     f1,
     metric_triple,
     precision,
+    record_keys,
     recall,
     render_report,
 )
 from epix.normalize import (
+    FIELD_TABLE,
     CanonicalDisease,
     CaseCount,
     CountAttribute,
+    CountryCode,
     FIELDS,
     normalize_country,
     normalize_disease,
@@ -141,8 +144,10 @@ def test_detection_dominates_strict(pairs):
     assert strict.total == detect.total == len(pairs)
 
 
-# Per field: gold values (raw strings, dates, ints) and normalized predictions,
-# mixing values that match, values that differ and absence.
+# Per field: gold values (raw strings, dates, ints) and predictions as (raw,
+# normalized) pairs, mixing values that match, values that differ and absence.
+# A raw string without a normalized value is a field warning: it scores as
+# absent, and its stored field holds only the raw string.
 _GOLD_VALUES = {
     "disease": [None, "Nipah virus", "Ebola virus disease", "EVD", "Cholera", "no such disease"],
     "country": [None, "India", "IND", "Uganda", "Atlantis"],
@@ -150,18 +155,50 @@ _GOLD_VALUES = {
     "count": [None, 0, 15, 200],
 }
 _PRED_VALUES = {
-    "disease": [None, *map(normalize_disease, ("Nipah virus", "Ebola", "Cholera", "Zika virus"))],
-    "country": [None, *map(normalize_country, ("India", "Uganda", "France"))],
-    "date": [None, date(2019, 6, 11), date(2018, 5, 31), date(2020, 1, 1)],
+    "disease": [
+        (None, None), ("no such disease", None),
+        *((raw, normalize_disease(raw)) for raw in ("Nipah virus", "Ebola", "Cholera", "Zika")),
+    ],
+    "country": [
+        (None, None), ("Atlantis", None),
+        *((raw, normalize_country(raw)) for raw in ("India", "Uganda", "France")),
+    ],
+    "date": [
+        (None, None), ("sometime in June", None), (None, date(2019, 6, 11)),
+        ("31 May 2018", date(2018, 5, 31)), ("1 January 2020", date(2020, 1, 1)),
+    ],
     "count": [
-        None, CaseCount(15), CaseCount(200, approximate=True),
-        CaseCount(0, attribute=CountAttribute.DEATH),
+        (None, None), ("dozens", None), ("15", CaseCount(15)),
+        ("about 200 cases", CaseCount(200, approximate=True)),
+        ("no deaths", CaseCount(0, attribute=CountAttribute.DEATH)),
     ],
 }
 
 
 def _draw_values(data, pools):
     return {field: data.draw(st.sampled_from(pool)) for field, pool in pools.items()}
+
+
+def _draw_record(data, doc_id, extractor):
+    values, warnings = {}, []
+    for field, pool in _PRED_VALUES.items():
+        raw, value = data.draw(st.sampled_from(pool))
+        values[f"{field}_raw"], values[field] = raw, value
+        if raw is not None and value is None:
+            warnings.append(raw)
+    return ExtractionRecord(doc_id, extractor, field_warnings=tuple(warnings), **values)
+
+
+def _draw_run(data):
+    """Gold documents, and per extractor a shuffled record of each plus a few extra ones."""
+    n_docs = data.draw(st.integers(0, 8), label="gold documents")
+    n_extra = data.draw(st.integers(0, 3), label="extra predictions")
+    golds = [GoldAnnotation(f"d{i}", **_draw_values(data, _GOLD_VALUES)) for i in range(n_docs)]
+    records = {}
+    for extractor in ("a", "b"):
+        preds = [_draw_record(data, f"d{i}", extractor) for i in range(n_docs + n_extra)]
+        records[extractor] = data.draw(st.permutations(preds))
+    return golds, records
 
 
 def _oracle_counts(golds, preds, field, mode):
@@ -179,20 +216,7 @@ def _oracle_counts(golds, preds, field, mode):
 
 @given(st.data(), st.sampled_from(list(MatchMode)))
 def test_evaluate_equals_a_classify_pair_loop(data, mode):
-    n_docs = data.draw(st.integers(0, 8), label="gold documents")
-    n_extra = data.draw(st.integers(0, 3), label="extra predictions")
-    golds = [GoldAnnotation(f"d{i}", **_draw_values(data, _GOLD_VALUES)) for i in range(n_docs)]
-    records = {
-        extractor: data.draw(
-            st.permutations(
-                [
-                    ExtractionRecord(f"d{i}", extractor, **_draw_values(data, _PRED_VALUES))
-                    for i in range(n_docs + n_extra)
-                ]
-            )
-        )
-        for extractor in ("a", "b")
-    }
+    golds, records = _draw_run(data)
     report = evaluate(records, golds, mode, timestamp="t0")
     for extractor, preds in records.items():
         for field in FIELDS:
@@ -200,8 +224,15 @@ def test_evaluate_equals_a_classify_pair_loop(data, mode):
             assert report.cells[extractor][field].counts == expected
             assert report.cells[extractor][field].metrics == metric_triple(expected)
             assert accumulate_confusion(golds, preds, field, mode) == expected
+    # The same tally from the keys stored in predictions files.
+    stored = {
+        extractor: stored_keys(b"".join(map(json_line, preds)))
+        for extractor, preds in records.items()
+    }
+    assert stored == {extractor: record_keys(preds) for extractor, preds in records.items()}
+    assert evaluate(stored, golds, mode, timestamp="t0") == report
 
-    if n_docs:
+    if golds:
         dropped = data.draw(st.sampled_from(golds)).document_id
         missing = [record for record in records["a"] if record.document_id != dropped]
         repeated = [*records["a"], data.draw(st.sampled_from(records["a"]))]
@@ -212,6 +243,43 @@ def test_evaluate_equals_a_classify_pair_loop(data, mode):
         ):
             with pytest.raises(AlignmentError):
                 evaluate({"a": broken_preds}, broken_golds, mode)
+
+
+_TEXT = st.text(max_size=6)
+_NORMALIZED = {
+    "disease": st.builds(CanonicalDisease, _TEXT, _TEXT),
+    "country": st.builds(CountryCode, _TEXT, _TEXT),
+    "date": st.dates(),
+    "count": st.builds(
+        CaseCount, st.integers(0, 10**15), st.booleans(), st.sampled_from(list(CountAttribute))
+    ),
+}
+
+
+@st.composite
+def _records(draw):
+    values = {}
+    for field, normalized in _NORMALIZED.items():
+        values[f"{field}_raw"] = draw(st.one_of(st.none(), _TEXT))
+        values[field] = draw(st.one_of(st.none(), normalized))
+    return ExtractionRecord(
+        draw(st.text(min_size=1, max_size=4)), "x",
+        parse_failure=draw(st.booleans()), field_warnings=tuple(draw(st.lists(_TEXT, max_size=2))),
+        **values,
+    )
+
+
+@given(st.lists(_records(), max_size=4, unique_by=lambda record: record.document_id))
+def test_stored_tag_is_the_comparison_key_of_the_decoded_value(records):
+    keys = stored_keys(b"".join(map(json_line, records)))
+    assert list(keys) == [record.document_id for record in records]
+    for record in records:
+        decoded = ExtractionRecord.from_json(json.loads(json_line(record)))
+        expected = tuple(
+            None if (value := decoded.normalized_value(f)) is None else FIELD_TABLE[f].key(value)
+            for f in FIELDS
+        )
+        assert keys[record.document_id] == expected
 
 
 # --- metrics ---------------------------------------------------------------------

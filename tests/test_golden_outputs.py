@@ -13,13 +13,18 @@ was written against the committed files in tests/fixtures/e2e/golden:
 report.json and report.txt are left out because they hold the run timestamp
 and the gold path. After an intended change of output, copy the new files of
 one run over the golden ones and review the diff.
+
+A second test scores the same predictions twice: from the keys stored in
+files their sidecars vouch for, and, with out/state removed, from decoded
+records. Every report must come out the same.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 from epix.cli import main
-from epix.corpus import load_corpus
+from epix.corpus import ExtractionRecord, load_corpus
 from epix.llm import (
     Sampling,
     Transport,
@@ -80,7 +85,8 @@ def _seed_cache(tmp_path) -> None:
             transport.put(profile, build.messages, Sampling(), canned[answers_of][doc.id])
 
 
-def test_replay_pipeline_matches_golden_outputs(tmp_path):
+def _run_pipeline(tmp_path) -> Path:
+    """Ingest, seed the cache, extract and evaluate; the run config's path."""
     corpus = tmp_path / "corpus.jsonl"
     assert main(["ingest", "--source", "promed", str(E2E / "raw"), "--out", str(corpus)]) == 0
     _seed_cache(tmp_path)
@@ -88,7 +94,11 @@ def test_replay_pipeline_matches_golden_outputs(tmp_path):
     config.write_text(json.dumps(_config(tmp_path)), encoding="utf-8")
     assert main(["--config", str(config), "extract"]) == 0
     assert main(["--config", str(config), "evaluate"]) == 0
+    return config
 
+
+def test_replay_pipeline_matches_golden_outputs(tmp_path):
+    _run_pipeline(tmp_path)
     out = tmp_path / "out"
     predictions = sorted(p.name for p in (out / "predictions").iterdir())
     assert predictions == sorted(p.name for p in (GOLDEN / "predictions").iterdir())
@@ -98,3 +108,30 @@ def test_replay_pipeline_matches_golden_outputs(tmp_path):
     digests = sorted(p.name for p in (tmp_path / "cache").iterdir())
     expected = (GOLDEN / "cache_entries.txt").read_text(encoding="utf-8").split()
     assert digests == expected
+
+
+def test_scoring_from_stored_keys_equals_scoring_decoded_records(tmp_path, monkeypatch):
+    config = _run_pipeline(tmp_path)
+    out = tmp_path / "out"
+    decoded = []
+    decode = ExtractionRecord.from_json
+
+    def counted(record):
+        decoded.append(record["document_id"])
+        return decode(record)
+
+    def reports():
+        report = json.loads((out / "report.json").read_bytes())
+        report["timestamp"] = None
+        names = [*REPORTS, "report.txt"]
+        return report, {name: (out / name).read_bytes() for name in names}
+
+    monkeypatch.setattr(ExtractionRecord, "from_json", staticmethod(counted))
+    assert main(["--config", str(config), "evaluate"]) == 0
+    assert decoded == []  # every sidecar vouches for its predictions file
+    from_keys = reports()
+    shutil.rmtree(out / "state")
+    assert main(["--config", str(config), "evaluate"]) == 0
+    extractors = len(_config(tmp_path)["extractors"])
+    assert len(decoded) == extractors * len(load_corpus(tmp_path / "corpus.jsonl"))
+    assert reports() == from_keys
