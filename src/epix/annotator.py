@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Optional, Sequence
 
 from .corpus import Document, ExtractionRecord
 from .gazetteer import COUNTRY, DISEASE, Gazetteer, default_gazetteer, fold
 from .normalize import (
+    _ASCII_FOLD,
     _CASE_KW,
     _DEATH_KW,
     _MONTH_RE,
@@ -30,13 +32,18 @@ from .normalize import (
 )
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
+# Splits a body into its _TOKEN_RE tokens (even places) and the runs between
+# them (odd places); the first and last token may be empty.
+_TOKEN_SPLIT_RE = re.compile(r"(\W+)")
+# The anchor patterns below run on ``_lowered(body)``, so they need no
+# re.IGNORECASE, which would cost the engine its literal-prefix search.
 # The keyword that ends every COUNT_EXPR_RE match.
-_COUNT_KEYWORD_RE = re.compile(rf"\b(?:{_CASE_KW}|{_DEATH_KW})\b", re.IGNORECASE)
+_COUNT_KEYWORD_RE = re.compile(rf"\b(?:{_CASE_KW}|{_DEATH_KW})\b")
 # A run of the only characters a count expression holds before its keyword:
 # \w, \s, "," and "-". Matched on the reversed body, it walks back.
 _COUNT_RUN_RE = re.compile(r"[\w\s,-]*")
 # Every DATE_PATTERNS match starts at a word boundary with a digit or a month name.
-_DATE_ANCHOR_RE = re.compile(rf"\b(?=\d|{_MONTH_RE})", re.IGNORECASE)
+_DATE_ANCHOR_RE = re.compile(rf"\b(?=\d|{_MONTH_RE})")
 
 _ATTRIBUTE_RANK = {
     CountAttribute.CASE: 0,
@@ -78,6 +85,27 @@ class KeyEntitySet:
     count: Optional[CaseCount] = None
 
 
+# The letters that _ASCII_FOLD maps, each with its ASCII letter.
+_FOLD_LETTERS = tuple((chr(code), chr(folded)) for code, folded in _ASCII_FOLD.items())
+
+
+def _lowered(body: str) -> str:
+    """``body.translate(_ASCII_FOLD).lower()``, each character still at its own offset.
+
+    The case-sensitive anchor patterns match here exactly where their
+    re.IGNORECASE forms match the body. ``_ASCII_FOLD`` maps the letters
+    that re.IGNORECASE equates with an ASCII letter but ``lower`` leaves
+    alone, and U+0130, the one code point whose ``lower`` is two characters
+    long. No character changes whether it is a word character or a digit.
+    """
+    # str.translate looks up every character of a non-ASCII body; the four
+    # letters are rare, so each is searched for and replaced instead.
+    for letter, ascii_letter in _FOLD_LETTERS:
+        if letter in body:
+            body = body.replace(letter, ascii_letter)
+    return body.lower()
+
+
 def annotate_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
     """Longest-match scan of the body for gazetteer surface forms.
 
@@ -87,26 +115,40 @@ def annotate_entities(doc: Document, gazetteer: Gazetteer) -> list[EntitySpan]:
     prefix of some gazetteer key, and the longest full key seen wins.
     """
     body = doc.body
-    tokens = [(m.start(), m.end(), fold(m.group())) for m in _TOKEN_RE.finditer(body)]
+    if body.isascii() and "_" not in body:
+        # Every token is ASCII letters and digits, whose fold is their lower case.
+        parts = _TOKEN_SPLIT_RE.split(_lowered(body))
+        keys = parts[::2]
+    else:
+        parts = _TOKEN_SPLIT_RE.split(body)
+        keys = [fold(token) for token in parts[::2]]
+    # Token k spans from the start of part 2k to that of part 2k + 1. Matches
+    # come in order, so the starts are read forward, and no list of them is
+    # kept. An empty first or last key is no prefix, so it never joins a match.
+    starts = accumulate(map(len, parts), initial=0)
+    read = 0  # how many starts have been read
     prefixes = gazetteer.key_prefixes
     spans: list[EntitySpan] = []
-    i = 0
-    while i < len(tokens):
-        key, j, entry = tokens[i][2], i, None
+    resume = 0
+    for i in [i for i, key in enumerate(keys) if key in prefixes]:
+        if i < resume:
+            continue
+        key, j, entry = keys[i], i, None
         while key in prefixes:
             hit = gazetteer.resolve_key(key)
             if hit is not None:
                 entry, last = hit, j
             j += 1
-            if j == len(tokens):
+            if j == len(keys):
                 break
-            key = f"{key} {tokens[j][2]}"
+            key = f"{key} {keys[j]}"
         if entry is None:
-            i += 1
             continue
-        start, end = tokens[i][0], tokens[last][1]
+        start = next(islice(starts, 2 * i - read, None))
+        end = next(islice(starts, 2 * (last - i), None))
+        read = 2 * last + 2
         spans.append(EntitySpan(entry.cls, start, end, body[start:end], entry.canonical_id))
-        i = last + 1
+        resume = last + 1
     return spans
 
 
@@ -125,7 +167,7 @@ def annotate_counts(doc: Document) -> list[CountSpan]:
     backwards = body[::-1]
     spans: list[CountSpan] = []
     floor = 0
-    for keyword in _COUNT_KEYWORD_RE.finditer(body):
+    for keyword in _COUNT_KEYWORD_RE.finditer(_lowered(body)):
         run = _COUNT_RUN_RE.match(backwards, len(body) - keyword.start(), len(body) - floor)
         match = COUNT_EXPR_RE.search(body, len(body) - run.end(), keyword.end())
         count = count_from_match(match) if match is not None else None
@@ -145,7 +187,7 @@ def annotate_dates(doc: Document) -> list[DateSpan]:
     """
     body = doc.body
     default_year = doc.published.year if doc.published else None
-    anchors = [m.start() for m in _DATE_ANCHOR_RE.finditer(body)]
+    anchors = [m.start() for m in _DATE_ANCHOR_RE.finditer(_lowered(body))]
     raw_hits: list[tuple[int, int, IsoDate]] = []
     for pattern in DATE_PATTERNS:
         # Every match starts at an anchor; skipping the anchors inside the
@@ -242,7 +284,8 @@ def extract_rule_based(
     extractor_id: str = "rule-based",
 ) -> ExtractionRecord:
     """Run the three annotators and map the per-class winners into a record."""
-    gazetteer = gazetteer or default_gazetteer()
+    if gazetteer is None:
+        gazetteer = default_gazetteer()
     spans = annotate_entities(doc, gazetteer)
     counts = annotate_counts(doc)
     dates = annotate_dates(doc)

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
@@ -228,17 +229,31 @@ def _parse_run_config(data) -> RunConfig:
     return config
 
 
+# The modules whose code decides a rule-based record.
+_RULE_BASED_SOURCES = ("annotator.py", "normalize.py", "gazetteer.py")
+
+
+@lru_cache(maxsize=1)
+def rule_based_source_digest() -> str:
+    """sha256 over the source of the rule-based extractor's modules, file by file."""
+    digest = hashlib.sha256()
+    for name in _RULE_BASED_SOURCES:
+        source = Path(annotator.__file__).with_name(name).read_bytes()
+        digest.update(hashlib.sha256(source).digest())
+    return digest.hexdigest()
+
+
 def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> dict[str, str]:
     """Each extractor's sha256 over canonical JSON of everything that decides its records.
 
-    A rule-based extractor's covers the bundled gazetteer tables; a model
-    extractor's its model profile, template and the sampling; an
-    ensemble's its members' ids and its policy (its input digests cover
-    its members' records, so their fingerprints would add nothing). Where
-    answers come from is left out: the transport mode and the endpoint,
-    which the request digest keying the cache omits too. Members come
-    before their ensembles in the result; an ensemble that is, through its
-    members, its own member is a ConfigError.
+    A rule-based extractor's covers the bundled gazetteer tables and the
+    source of its modules; a model extractor's its model profile, template
+    and the sampling; an ensemble's its members' ids and its policy (its
+    input digests cover its members' records, so their fingerprints would
+    add nothing). Where answers come from is left out: the transport mode
+    and the endpoint, which the request digest keying the cache omits too.
+    Members come before their ensembles in the result; an ensemble that
+    is, through its members, its own member is a ConfigError.
     """
     specs = {spec.id: spec for spec in extractors}
     done: dict[str, str] = {}
@@ -252,6 +267,7 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
         source: dict = {"kind": spec.kind}
         if spec.kind == RULE_BASED:
             source["gazetteer"] = gazetteer
+            source["code"] = rule_based_source_digest()
         if spec.profile is not None:
             source["model"] = {k: v for k, v in vars(spec.profile).items() if k != "endpoint"}
             source["template"] = spec.template

@@ -199,7 +199,9 @@ def normalize_disease(raw: str, gazetteer: Gazetteer | None = None) -> Optional[
     """Resolve a disease surface form to its canonical gazetteer entry."""
     if raw is None or not raw.strip():
         return None
-    entry = (gazetteer or default_gazetteer()).resolve(raw)
+    if gazetteer is None:
+        gazetteer = default_gazetteer()
+    entry = gazetteer.resolve(raw)
     if entry is None or entry.cls != DISEASE:
         return None
     return CanonicalDisease(entry.canonical_id, entry.display_name)

@@ -1,12 +1,18 @@
 import re
+import string
+import sys
 import unicodedata
 from datetime import date
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from epix import annotator
 from epix.annotator import (
+    _COUNT_KEYWORD_RE,
+    _DATE_ANCHOR_RE,
     _TOKEN_RE,
+    _lowered,
     CountSpan,
     DateSpan,
     EntitySpan,
@@ -28,11 +34,13 @@ from epix.gazetteer import (
     load_gazetteer,
 )
 from epix.normalize import (
+    _ASCII_FOLD,
     COUNT_EXPR_RE,
     DATE_PATTERNS,
     CaseCount,
     CountAttribute,
     count_from_match,
+    normalize_disease,
     resolve_date_match,
 )
 
@@ -129,8 +137,10 @@ def _window_scan(body, gazetteer):
 _GAZETTEER = default_gazetteer()
 # Folded keys and display names (with their accents and punctuation).
 _SURFACES = sorted(set(_GAZETTEER._by_surface) | {e.display_name for e in _GAZETTEER.entries()})
-# Tokens that fold to nothing, to several words, or differently under NFKD.
-_EDGE_TOKENS = ["_", "__", "a_b", "x_", "½", "ﬁ", "É", "us", "US"]
+# Tokens that fold to nothing, to several words, or differently under NFKD;
+# the case-fold letters; a combining accent; a fullwidth surface form.
+_EDGE_TOKENS = ["_", "__", "a_b", "x_", "½", "ﬁ", "É", "us", "US",
+                "ſ", "ı", "İ", "K", "e\u0301", "Ｅｂｏｌａ"]
 _FILLER = ["in", "the", "virus", "disease", "fever", "cases", "of", "and", "42", "2019"]
 _SEPARATORS = [" ", "_", "-", ", "]
 
@@ -166,6 +176,22 @@ def test_prefix_scan_matches_window_oracle_on_fixtures(fixtures_dir):
     for doc in _fixture_docs(fixtures_dir):
         spans = annotate_entities(doc, _GAZETTEER)
         assert spans and spans == _window_scan(doc.body, _GAZETTEER)
+
+
+def test_ascii_body_without_underscore_calls_no_fold(monkeypatch, gazetteer):
+    calls = []
+
+    def counted_fold(text):
+        calls.append(text)
+        return fold(text)
+
+    monkeypatch.setattr(annotator, "fold", counted_fold)
+    body = "Ebola virus disease in DRC: 15 cases, then cholera in Yemen."
+    spans = annotate_entities(_doc(body), gazetteer)
+    assert spans and calls == []
+    # An underscore sends every token through fold, to the same spans.
+    assert annotate_entities(_doc(body + " _"), gazetteer) == spans
+    assert len(calls) == len(_TOKEN_RE.findall(body)) + 1
 
 
 def test_longest_match_wins(gazetteer):
@@ -285,6 +311,29 @@ def _full_date_scan(doc):
         spans.append(DateSpan(start, end, value))
         cursor = end - 1
     return spans
+
+
+def test_lowered_copy_keeps_offsets_classes_and_ignorecase_letters():
+    """On ``_lowered``, case-sensitive anchors match where re.IGNORECASE ones match the body."""
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    lows = [_lowered(c) for c in chars]
+    assert [c for c, low in zip(chars, lows) if len(low) != 1] == []
+    every, lowered = "".join(chars), "".join(lows)
+
+    def positions(pattern, text, flags=0):
+        return [m.start() for m in re.finditer(pattern, text, flags)]
+
+    for pattern in (r"\w", r"\d"):
+        assert positions(pattern, every) == positions(pattern, lowered)
+    for letter in string.ascii_lowercase:
+        assert positions(letter, every, re.IGNORECASE) == positions(letter, lowered)
+    assert not _COUNT_KEYWORD_RE.flags & re.IGNORECASE
+    assert not _DATE_ANCHOR_RE.flags & re.IGNORECASE
+
+
+@given(st.one_of(st.text(), st.text(st.sampled_from("aZkKſıİ\u212a\u0307é–Σ_ 1"))))
+def test_lowered_is_translate_then_lower(text):
+    assert _lowered(text) == text.translate(_ASCII_FOLD).lower()
 
 
 def _outcome(scan, doc):
@@ -487,6 +536,13 @@ def test_extract_rule_based_no_entities(gazetteer):
     assert record.country is None
     assert record.date is None
     assert record.count is None
+
+
+def test_explicit_empty_gazetteer_is_not_replaced_by_the_bundled_one():
+    record = extract_rule_based(_doc("Ebola in Guinea: 5 cases"), Gazetteer())
+    assert (record.disease, record.country) == (None, None)
+    assert record.count == CaseCount(5, False, CountAttribute.CASE)
+    assert normalize_disease("Ebola", Gazetteer()) is None
 
 
 def test_extract_rule_based_frequency_rule(gazetteer):

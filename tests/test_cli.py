@@ -513,10 +513,11 @@ def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
         assert f"{ext}: 3 records (0 new)" in out
 
 
-def test_changed_gazetteer_reextracts_every_rule_based_document(tmp_path, monkeypatch, capsys):
+def _assert_only_rule_based_redone(tmp_path, monkeypatch, capsys, digest):
+    """A changed ``digest`` in ``cli`` redoes every rule-based record, and nothing else."""
     _, config = _three_extractors(tmp_path)
     before = {ext: _predictions(tmp_path, ext) for ext in _THREE}
-    monkeypatch.setattr(cli, "bundled_digest", lambda: "0" * 64)
+    monkeypatch.setattr(cli, digest, lambda: "0" * 64)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     out = capsys.readouterr().out
@@ -524,6 +525,32 @@ def test_changed_gazetteer_reextracts_every_rule_based_document(tmp_path, monkey
     # The rule records came out the same, so the model's and the vote stand.
     assert "m: 3 records (0 new)" in out and "ens: 3 records (0 new)" in out
     assert {ext: _predictions(tmp_path, ext) for ext in _THREE} == before
+
+
+def test_changed_gazetteer_reextracts_every_rule_based_document(tmp_path, monkeypatch, capsys):
+    _assert_only_rule_based_redone(tmp_path, monkeypatch, capsys, "bundled_digest")
+
+
+def test_changed_rule_based_code_reextracts_every_rule_based_document(
+    tmp_path, monkeypatch, capsys
+):
+    _assert_only_rule_based_redone(tmp_path, monkeypatch, capsys, "rule_based_source_digest")
+
+
+def test_rule_based_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path):
+    names = ("annotator.py", "normalize.py", "gazetteer.py")
+    for name in names:
+        (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
+    monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
+    digests = set()
+    for edited in (None, *names):
+        if edited is not None:
+            with open(tmp_path / edited, "a", encoding="utf-8") as fh:
+                fh.write("# edited\n")
+        cli.rule_based_source_digest.cache_clear()
+        digests.add(cli.rule_based_source_digest())
+    cli.rule_based_source_digest.cache_clear()
+    assert len(digests) == 4
 
 
 @pytest.mark.parametrize("later", [False, True], ids=["same-run", "later-run"])
