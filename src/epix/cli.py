@@ -293,24 +293,29 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
 # --- commands ----------------------------------------------------------------
 
 
-def _iter_input_files(input_path: Path):
-    if input_path.is_dir():
-        return sorted(p for p in input_path.iterdir() if p.is_file())
-    return [input_path]
-
-
 def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
-    """Parse raw feed dumps into a corpus file; document ids come from filenames."""
-    files = _iter_input_files(input_path)
-    docs: list[Document] = []
+    """Parse raw feed dumps into a corpus file; document ids come from filenames.
+
+    An empty raw file, or two raw files with one id (``a.txt`` and
+    ``a.html``), is an input error naming them, and nothing is written.
+    """
+    files = [input_path]
+    if input_path.is_dir():
+        files = sorted(p for p in input_path.iterdir() if p.is_file())
+    docs: dict[str, Document] = {}
     for file in files:
+        if file.stem in docs:
+            twin = next(f for f in files if f.stem == file.stem)
+            raise SchemaError(f"{twin} and {file} would both be document {file.stem!r}")
         raw = file.read_text(encoding="utf-8", errors="replace")
-        if source == "promed":
-            doc = parse_promed_post(raw, hint={"id": file.stem})
-        else:
-            doc = with_id(parse_don_article(raw, url=""), file.stem)
-        docs.append(doc)
-    save_corpus(docs, out_path)
+        try:
+            if source == "promed":
+                docs[file.stem] = parse_promed_post(raw, hint={"id": file.stem})
+            else:
+                docs[file.stem] = with_id(parse_don_article(raw, url=""), file.stem)
+        except EmptyInput as exc:
+            raise EmptyInput(f"{file}: {exc}") from None
+    save_corpus(docs.values(), out_path)
     if not docs:
         print("warning: no input files found", file=sys.stderr)
     print(f"ingested {len(docs)} documents into {out_path}")
@@ -360,37 +365,48 @@ def _committed(data: bytes, state: dict):
     return committed
 
 
+def _read_records(path: Path, data: bytes) -> list[ExtractionRecord]:
+    """Decode and validate every record of a predictions file; a fault names its line."""
+    return read_jsonl(path, ExtractionRecord.from_json, unique=attrgetter("document_id"), data=data)
+
+
 @dataclass
 class _Stored:
-    """What a resume may reuse of one extractor's predictions file.
+    """What a resume may reuse of one extractor's predictions file, and what it made of it.
 
     ``inputs`` holds the input digest of each document the extractor can
-    work on now (see ``_Reuse``). ``current`` maps each committed record
-    that the sidecar proves current to its sidecar entry, ``[input digest,
-    record digest]``; it is None for a file without a sidecar, whose
-    records are all adopted. ``data`` is what a full read decodes.
-    ``committed`` is the running digest of the committed bytes when the new
-    lines may simply be appended, and ``cut`` says that an interrupted
-    append left bytes after them.
+    work on now (see ``_Reuse``). ``lines`` holds each reusable record's
+    line by document id, and ``entries`` the sidecar entry, ``[input
+    digest, record digest]``, of each line the sidecar vouches for; after
+    ``_commit`` they are the new sidecar's. ``committed`` is the running
+    digest of the first ``length`` bytes when new lines may be appended
+    after them, and ``cut`` says that an interrupted append left bytes
+    there. ``records`` holds the records this run made.
     """
 
     inputs: dict[str, str]
-    data: bytes = b""
-    state: Optional[dict] = None
-    current: Optional[dict[str, list[str]]] = field(default_factory=dict)
+    lines: dict[str, bytes] = field(default_factory=dict)
+    entries: dict[str, list[str]] = field(default_factory=dict)
+    length: int = 0
     committed: object = None
     cut: bool = False
+    records: dict[str, ExtractionRecord] = field(default_factory=dict)
 
 
 def _stored(config: RunConfig, extractor_id: str, inputs: dict[str, str]) -> _Stored:
     """Check an extractor's predictions file against its sidecar.
 
-    A record is current when the committed bytes hash to the sidecar's
-    digest, the sidecar's fingerprint matches the extractor's and the
-    record's input digest is unchanged. Whole lines after the committed
-    bytes are read in full, so a line added by hand is still checked. Any
-    other bytes there are what an interrupted append leaves, and are cut.
-    Appending is safe when every committed record is current.
+    The sidecar vouches for the committed bytes when they hash to its
+    digest and split into one line per entry of its ``documents``, in
+    order, each hashing to its entry's record digest. A vouched line is
+    reused as it is when the sidecar's fingerprint matches the extractor's
+    and the input digest of the line's document is unchanged. Bytes the
+    sidecar does not vouch for are read in full, so an input error names
+    its line: a file with bytes that fail those checks, whole lines after
+    the committed bytes (added by hand, say), and a file without a sidecar,
+    whose records are all adopted. Other bytes after the committed ones are
+    what an interrupted append leaves, and are cut. Appending is safe when
+    every committed record is reused.
     """
     path = config.predictions_path(extractor_id)
     if not path.exists():
@@ -398,21 +414,28 @@ def _stored(config: RunConfig, extractor_id: str, inputs: dict[str, str]) -> _St
     data = path.read_bytes()
     state = _read_state(config.state_path(extractor_id))
     if state is None:
-        return _Stored(inputs, data, current=None)
-    committed = _committed(data, state)
-    if committed is None:
-        return _Stored(inputs, data, state)
+        adopted = {r.document_id: r for r in _read_records(path, data)}
+        return _Stored(inputs, {d: json_line(r) for d, r in adopted.items() if d in inputs})
     length, documents = state["length"], state["documents"]
-    current = {}
-    if state["fingerprint"] == config.fingerprints[extractor_id]:
-        current = {d: entry for d, entry in documents.items() if inputs.get(d) == entry[0]}
-    tail = data[length:]
-    if tail.endswith(b"\n"):
-        return _Stored(inputs, data, state, current)
-    appendable = len(current) == len(documents)
-    return _Stored(
-        inputs, data[:length], state, current, committed if appendable else None, bool(tail)
+    committed = _committed(data, state)
+    lines = data[:length].splitlines(keepends=True)
+    vouched = committed is not None and len(lines) == len(documents) and all(
+        hashlib.sha256(line).hexdigest() == entry[1]
+        for line, entry in zip(lines, documents.values())
     )
+    tail = data[length:]
+    if not vouched or tail.endswith(b"\n"):
+        _read_records(path, data)
+    if not vouched:
+        return _Stored(inputs)
+    stored = _Stored(inputs, length=length, cut=bool(tail))
+    if state["fingerprint"] == config.fingerprints[extractor_id]:
+        for (doc_id, entry), line in zip(documents.items(), lines):
+            if inputs.get(doc_id) == entry[0]:
+                stored.lines[doc_id], stored.entries[doc_id] = line, entry
+    if len(stored.entries) == len(documents) and not tail.endswith(b"\n"):
+        stored.committed = committed
+    return stored
 
 
 class _Reuse:
@@ -428,7 +451,6 @@ class _Reuse:
         self.config = config
         self.digests = {doc.id: _document_digest(doc) for doc in docs}
         self.specs = {spec.id: spec for spec in config.extractors}
-        self.written: dict[str, dict[str, list[str]]] = {}  # sidecar entries this run wrote
         self._stored: dict[str, _Stored] = {}
 
     def stored(self, extractor_id: str) -> _Stored:
@@ -436,7 +458,7 @@ class _Reuse:
             spec = self.specs[extractor_id]
             inputs = self.digests
             if spec.ensemble is not None:
-                members = [self.current(member) for member in spec.ensemble.members]
+                members = [self.stored(member).entries for member in spec.ensemble.members]
                 inputs = {
                     doc_id: _digest(digest, *(found[doc_id][1] for found in members))
                     for doc_id, digest in self.digests.items()
@@ -445,40 +467,24 @@ class _Reuse:
             self._stored[extractor_id] = _stored(self.config, extractor_id, inputs)
         return self._stored[extractor_id]
 
-    def current(self, extractor_id: str) -> dict[str, list[str]]:
-        """Sidecar entries of an extractor's current records, as of this run's commit."""
-        if extractor_id in self.written:
-            return self.written[extractor_id]
-        return self.stored(extractor_id).current or {}
-
-
-def _current_records(path: Path, stored: _Stored) -> dict[str, ExtractionRecord]:
-    """Decode every stored record and keep the current ones."""
-    records = read_jsonl(
-        path, ExtractionRecord.from_json, unique=attrgetter("document_id"), data=stored.data
-    )
-    keep = stored.inputs if stored.current is None else stored.current
-    return {r.document_id: r for r in records if r.document_id in keep}
-
 
 def _commit(
     config: RunConfig,
     extractor_id: str,
     stored: _Stored,
-    kept: dict[str, ExtractionRecord],
     new: Sequence[ExtractionRecord],
     docs: Sequence[Document],
-) -> dict[str, list[str]]:
+) -> None:
     """Append the new records, or rewrite the file in corpus order, then its sidecar.
 
-    A failed append is cut back to the committed bytes. Returns the
+    A rewrite copies the kept lines as they are. A failed append is cut
+    back to the committed bytes. ``stored.entries`` then holds the
     sidecar's entries.
     """
     path = config.predictions_path(extractor_id)
     lines = {record.document_id: json_line(record) for record in new}
     if stored.committed is not None:
-        length, committed = stored.state["length"], stored.committed
-        documents = dict(stored.state["documents"])
+        length, committed, documents = stored.length, stored.committed, stored.entries
         try:
             with open(path, "r+b") as fh:
                 fh.truncate(length)  # cuts an interrupted append
@@ -488,8 +494,7 @@ def _commit(
             os.truncate(path, length)
             raise
     else:
-        for doc_id, record in kept.items():
-            lines.setdefault(doc_id, json_line(record))
+        lines |= stored.lines
         lines = {doc.id: lines[doc.id] for doc in docs if doc.id in lines}
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, lines.values())
@@ -507,7 +512,7 @@ def _commit(
     state_path = config.state_path(extractor_id)
     state_path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(state_path, [json.dumps(state, separators=(",", ":")).encode("utf-8")])
-    return documents
+    stored.entries = documents
 
 
 def _each(docs: Sequence[Document], extract) -> list[ExtractionRecord]:
@@ -530,14 +535,13 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     file is rewritten in corpus order. Any per-document failure first
     commits the records finished before it. The transport is built only
     when a model extractor runs, so rule-based runs need no cache. An
-    ensemble votes from its members' records of this run, and reads a
-    member's predictions file only for documents those lack.
+    ensemble votes from its members' records of this run, and decodes a
+    member's stored line only for documents those lack.
     """
     docs = load_corpus(config.corpus)
     reuse = _Reuse(config, docs)
     gazetteer = default_gazetteer()
     transport = None
-    records_of: dict[str, dict[str, ExtractionRecord]] = {}  # this run's, in memory
 
     # Members run before their ensembles, so that their records of this run exist.
     rank = {extractor_id: i for i, extractor_id in enumerate(config.fingerprints)}
@@ -546,12 +550,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
             continue
         path = config.predictions_path(spec.id)
         stored = reuse.stored(spec.id)
-        if stored.committed is not None:
-            kept, reused = {}, stored.current
-        else:
-            kept = _current_records(path, stored)
-            reused = kept.keys()
-        missing = [doc for doc in docs if doc.id not in reused]
+        missing = [doc for doc in docs if doc.id not in stored.lines]
         failure = None
         try:
             if spec.kind == RULE_BASED:
@@ -568,53 +567,42 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
                     gazetteer=gazetteer, concurrency=config.concurrency,
                 )
             else:
-                new = _each(missing, _voter(config, spec, stored, records_of, reuse))
+                new = _each(missing, _voter(spec, reuse))
         except ExtractionFailed as exc:
             new, failure = exc.partial_records, exc
         # An appendable file with nothing to add or cut stays as it is.
         unchanged = stored.committed is not None and not stored.cut
         if new or (failure is None and not unchanged):
-            reuse.written[spec.id] = _commit(config, spec.id, stored, kept, new, docs)
+            _commit(config, spec.id, stored, new, docs)
         if failure is not None:
             raise failure if isinstance(failure.cause, TransportError) else failure.cause
-        records_of[spec.id] = kept | {record.document_id: record for record in new}
-        print(f"{spec.id}: {len(reused) + len(new)} records ({len(new)} new) -> {path}")
+        stored.records = {record.document_id: record for record in new}
+        print(f"{spec.id}: {len(stored.lines) + len(new)} records ({len(new)} new) -> {path}")
     return EXIT_OK
 
 
-def _voter(
-    config: RunConfig,
-    spec: ExtractorSpec,
-    stored: _Stored,
-    records_of: dict[str, dict[str, ExtractionRecord]],
-    reuse: _Reuse,
-):
+def _voter(spec: ExtractorSpec, reuse: _Reuse):
     """Vote on one document from the members' current records.
 
     The ensemble can vote on a document only when each member has a record
     of it that the member itself would reuse. That record comes from this
-    run when there is one, else from the member's predictions file.
+    run when there is one, else it is decoded from the member's stored line.
     """
-    members = spec.ensemble.members
-    on_file: dict[str, dict[str, ExtractionRecord]] = {}
-
-    def record(member: str, doc_id: str) -> ExtractionRecord:
-        found = records_of.get(member, {}).get(doc_id)
-        if found is not None:
-            return found
-        if member not in on_file:
-            path = config.predictions_path(member)
-            on_file[member] = _current_records(path, reuse.stored(member))
-        return on_file[member][doc_id]
+    stored = reuse.stored(spec.id)
+    members = {member: reuse.stored(member) for member in spec.ensemble.members}
 
     def vote(doc: Document) -> ExtractionRecord:
         if doc.id not in stored.inputs:
-            lacking = [member for member in members if doc.id not in reuse.current(member)]
+            lacking = [member for member, found in members.items() if doc.id not in found.entries]
             raise ConfigError(
                 f"ensemble {spec.id!r}: members {lacking} have no current record "
                 f"for document {doc.id!r}; extract members first"
             )
-        return ensemble_records([record(member, doc.id) for member in members], spec.ensemble)
+        records = [
+            found.records.get(doc.id) or ExtractionRecord.from_json(json.loads(found.lines[doc.id]))
+            for found in members.values()
+        ]
+        return ensemble_records(records, spec.ensemble)
 
     return vote
 
@@ -643,10 +631,7 @@ def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
             return stored_keys(data)
         except (LookupError, TypeError, ValueError, AttributeError):
             pass  # not what epix writes: the full read below names the fault
-    records = read_jsonl(
-        path, ExtractionRecord.from_json, unique=attrgetter("document_id"), data=data
-    )
-    return record_keys(records)
+    return record_keys(_read_records(path, data))
 
 
 def cmd_evaluate(config: RunConfig) -> int:

@@ -229,6 +229,8 @@ class Transport:
             return None
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise TransportError(f"{path}: corrupt cache entry (invalid UTF-8)") from None
         except json.JSONDecodeError as exc:
             raise TransportError(f"{path}: corrupt cache entry ({exc.msg})") from None
         if not isinstance(entry, dict) or "response" not in entry:

@@ -114,6 +114,32 @@ def test_ingest_unreadable_path_exits_2(tmp_path):
     assert rc == 2
 
 
+_POST = "Subject: Measles - France\nMeasles in France; 3 cases.\n"
+
+
+@pytest.mark.parametrize(
+    "source, files, said",
+    [
+        ("promed", {"a.txt": _POST, "b.txt": " \n\t\n"}, "{raw}/b.txt: post is empty"),
+        ("don", {"a.txt": _POST, "b.txt": " \n\t\n"}, "{raw}/b.txt: article is empty"),
+        (
+            "promed", {"a.txt": _POST, "a.html": _POST},
+            "{raw}/a.html and {raw}/a.txt would both be document 'a'",
+        ),
+    ],
+    ids=["empty-post", "empty-article", "one-id-twice"],
+)
+def test_bad_raw_file_exits_2_naming_it_and_writing_nothing(tmp_path, capsys, source, files, said):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    for name, text in files.items():
+        (raw / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "corpus.jsonl"
+    assert main(["ingest", "--source", source, str(raw), "--out", str(out)]) == 2
+    assert said.format(raw=raw) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- extract ---------------------------------------------------------------------
 
 
@@ -180,7 +206,11 @@ def _seed_cache(tmp_path, docs, answer, model="gpt-4-32k", template="zero-shot",
     ], transport
 
 
-@pytest.mark.parametrize("entry", ["{corrupt", '{"digest": "x"}'], ids=["torn", "no-response"])
+@pytest.mark.parametrize(
+    "entry",
+    [b"{corrupt", b'{"digest": "x"}', b'{"response": "\xff"}'],
+    ids=["torn", "no-response", "not-utf-8"],
+)
 def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys, entry):
     docs = _small_corpus(tmp_path)
     digests, transport = _seed_cache(
@@ -188,7 +218,7 @@ def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys, entry):
         '{"virus": "Measles", "country": "France", "date": "None", "cases": "None"}',
     )
     corrupt = transport.cache_path(digests[-1])
-    corrupt.write_text(entry, encoding="utf-8")
+    corrupt.write_bytes(entry)
     # One worker takes the documents in order, so the corrupt entry is read last.
     config = _write_config(
         tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "zero-shot"}],
@@ -689,6 +719,82 @@ def test_resume_of_one_document_decodes_no_record_and_encodes_one_per_extractor(
     assert calls == Counter(encode=len(_THREE))
     for ext in _THREE:
         assert [r["document_id"] for r in _predictions(tmp_path, ext)][-1] == "d9"
+
+
+def _count_codec_calls(monkeypatch) -> Counter:
+    """Counts every ExtractionRecord decode and encode from now on."""
+    calls = Counter()
+    decode, encode = ExtractionRecord.from_json, ExtractionRecord.to_json
+
+    def counted_decode(record):
+        calls["decode"] += 1
+        return decode(record)
+
+    def counted_encode(self):
+        calls["encode"] += 1
+        return encode(self)
+
+    monkeypatch.setattr(ExtractionRecord, "from_json", staticmethod(counted_decode))
+    monkeypatch.setattr(ExtractionRecord, "to_json", counted_encode)
+    return calls
+
+
+def test_resume_after_one_changed_body_decodes_no_record_and_encodes_one_per_extractor(
+    tmp_path, monkeypatch, capsys
+):
+    docs, config = _three_extractors(tmp_path, n=6)
+    docs[1] = Document(
+        id="d1", source=Source.PROMED, title="t1",
+        body="Cholera outbreak in Yemen on 5 May 2020; 7 cases.",
+    )
+    save_corpus(docs, tmp_path / "corpus.jsonl")
+    _seed_cache(tmp_path, docs[1:2], _YEMEN)
+    calls = _count_codec_calls(monkeypatch)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    assert calls == Counter(encode=len(_THREE))
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    # The rewrite, kept lines copied as they are, is what a clean run writes.
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    for ext in _THREE:
+        assert f"{ext}: 6 records (1 new)" in out
+        for name in (f"predictions/{ext}.jsonl", f"state/{ext}.json"):
+            resumed, clean = (tmp_path / side / name for side in ("out", "clean"))
+            assert resumed.read_bytes() == clean.read_bytes(), name
+
+
+def _swap_order(documents):
+    """The first two entries in each other's place, each still under its own id."""
+    (a, first), (b, second), *rest = documents.items()
+    return {b: second, a: first, **dict(rest)}
+
+
+def _swap_values(documents):
+    """Each of the first two ids holding the other's entry."""
+    (a, first), (b, second), *rest = documents.items()
+    return {a: second, b: first, **dict(rest)}
+
+
+@pytest.mark.parametrize("swap", [_swap_order, _swap_values], ids=["order", "values"])
+def test_swapped_sidecar_entries_attribute_no_record_to_another_document(tmp_path, capsys, swap):
+    _, config = _three_extractors(tmp_path)
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    for ext in _THREE:
+        sidecar = _state_file(tmp_path, ext)
+        state = json.loads(sidecar.read_bytes())
+        state["documents"] = swap(state["documents"])
+        sidecar.write_text(json.dumps(state, separators=(",", ":")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    for ext in _THREE:
+        # The sidecar no longer vouches for the lines, so every record is redone.
+        assert f"{ext}: 3 records (3 new)" in out
+        assert _predictions(tmp_path, ext) == _predictions(tmp_path, ext, out="clean"), ext
+        assert _state_file(tmp_path, ext).read_bytes() == (
+            tmp_path / "clean" / "state" / f"{ext}.json"
+        ).read_bytes(), ext
 
 
 def test_loading_a_config_does_not_import_requests(tmp_path):
