@@ -130,13 +130,20 @@ def _number(
     return value
 
 
+def _ids(section: dict, name: str, default: list[str]) -> tuple[str, ...]:
+    """The config value ``name`` (``section.key``) checked to be a list of extractor ids."""
+    value = section.get(name.rpartition(".")[2], default)
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{name} must be a list of extractor ids, got {value!r}")
+    return tuple(value)
+
+
 def _parse_policy(data: dict, members: Sequence[str]) -> VotePolicy:
     tie_break = TieBreak(data.get("tie_break", "priority_order").upper())
-    priority = tuple(data.get("priority", members))
     return VotePolicy(
         min_agreement=_number(data, "policy.min_agreement", 2, integer=True, minimum=1),
         tie_break=tie_break,
-        priority=priority,
+        priority=_ids(data, "policy.priority", list(members)),
     )
 
 
@@ -188,7 +195,7 @@ def _parse_run_config(data) -> RunConfig:
             extractors.append(ExtractorSpec(extractor_id, kind, profile=profile, template=template))
         elif kind == ENSEMBLE:
             # EnsembleConfig validates member count, distinctness and priority coverage.
-            members = tuple(entry.get("members", ()))
+            members = _ids(entry, "members", [])
             policy = _parse_policy(entry.get("policy", {}), members)
             ensemble = EnsembleConfig(extractor_id, members, policy)
             extractors.append(ExtractorSpec(extractor_id, kind, ensemble=ensemble))
@@ -342,27 +349,25 @@ def _read_state(path: Path) -> Optional[dict]:
     if not (
         isinstance(state, dict)
         and isinstance(state.get("fingerprint"), str)
-        and isinstance(state.get("sha256"), str)
-        and type(state.get("length")) is int
-        and state["length"] >= 0
         and isinstance(state.get("documents"), dict)
         and all(
-            type(entry) is list and len(entry) == 2 and all(type(d) is str for d in entry)
-            for entry in state["documents"].values()
+            type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
+            for e in state["documents"].values()
         )
     ):
         raise SchemaError(f"{path}: unreadable resume state")
     return state
 
 
-def _committed(data: bytes, state: dict):
-    """The running SHA-256 of the committed bytes, when ``data`` starts with
-    the bytes the sidecar ``state`` vouches for; else None."""
-    length = state["length"]
-    committed = hashlib.sha256(data[:length])
-    if len(data) < length or committed.hexdigest() != state["sha256"]:
-        return None
-    return committed
+def _vouched(data: bytes, documents: dict) -> Optional[list[bytes]]:
+    """A predictions file's committed lines: its first ``len(documents)`` lines,
+    when each hashes, in order, to its sidecar entry's record digest."""
+    lines = data.splitlines(keepends=True)[: len(documents)]
+    if len(lines) == len(documents) and all(
+        hashlib.sha256(line).hexdigest() == entry[1] for line, entry in zip(lines, documents.values())
+    ):
+        return lines
+    return None
 
 
 def _read_records(path: Path, data: bytes) -> list[ExtractionRecord]:
@@ -378,17 +383,16 @@ class _Stored:
     work on now (see ``_Reuse``). ``lines`` holds each reusable record's
     line by document id, and ``entries`` the sidecar entry, ``[input
     digest, record digest]``, of each line the sidecar vouches for; after
-    ``_commit`` they are the new sidecar's. ``committed`` is the running
-    digest of the first ``length`` bytes when new lines may be appended
-    after them, and ``cut`` says that an interrupted append left bytes
-    there. ``records`` holds the records this run made.
+    ``_commit`` they are the new sidecar's. ``offset`` is where new lines
+    are appended, or None when the file must be rewritten, and ``cut``
+    says that an interrupted append left bytes there. ``records`` holds
+    the records this run made.
     """
 
     inputs: dict[str, str]
     lines: dict[str, bytes] = field(default_factory=dict)
     entries: dict[str, list[str]] = field(default_factory=dict)
-    length: int = 0
-    committed: object = None
+    offset: Optional[int] = None
     cut: bool = False
     records: dict[str, ExtractionRecord] = field(default_factory=dict)
 
@@ -396,17 +400,17 @@ class _Stored:
 def _stored(config: RunConfig, extractor_id: str, inputs: dict[str, str]) -> _Stored:
     """Check an extractor's predictions file against its sidecar.
 
-    The sidecar vouches for the committed bytes when they hash to its
-    digest and split into one line per entry of its ``documents``, in
-    order, each hashing to its entry's record digest. A vouched line is
-    reused as it is when the sidecar's fingerprint matches the extractor's
-    and the input digest of the line's document is unchanged. Bytes the
-    sidecar does not vouch for are read in full, so an input error names
-    its line: a file with bytes that fail those checks, whole lines after
-    the committed bytes (added by hand, say), and a file without a sidecar,
-    whose records are all adopted. Other bytes after the committed ones are
-    what an interrupted append leaves, and are cut. Appending is safe when
-    every committed record is reused.
+    The sidecar vouches for the file's first lines, one per entry of its
+    ``documents``, when each hashes, in order, to its entry's record digest
+    (see ``_vouched``); those lines are the committed bytes. A vouched line
+    is reused as it is when the sidecar's fingerprint matches the
+    extractor's and the input digest of the line's document is unchanged.
+    Bytes the sidecar does not vouch for are read in full, so an input
+    error names its line: a file whose lines fail that check, whole lines
+    after the committed bytes (added by hand, say), and a file without a
+    sidecar, whose records are all adopted. Other bytes after the committed
+    ones are what an interrupted append leaves, and are cut. Appending is
+    safe when every committed record is reused.
     """
     path = config.predictions_path(extractor_id)
     if not path.exists():
@@ -416,25 +420,22 @@ def _stored(config: RunConfig, extractor_id: str, inputs: dict[str, str]) -> _St
     if state is None:
         adopted = {r.document_id: r for r in _read_records(path, data)}
         return _Stored(inputs, {d: json_line(r) for d, r in adopted.items() if d in inputs})
-    length, documents = state["length"], state["documents"]
-    committed = _committed(data, state)
-    lines = data[:length].splitlines(keepends=True)
-    vouched = committed is not None and len(lines) == len(documents) and all(
-        hashlib.sha256(line).hexdigest() == entry[1]
-        for line, entry in zip(lines, documents.values())
-    )
-    tail = data[length:]
-    if not vouched or tail.endswith(b"\n"):
+    documents = state["documents"]
+    lines = _vouched(data, documents)
+    if lines is None:
         _read_records(path, data)
-    if not vouched:
         return _Stored(inputs)
-    stored = _Stored(inputs, length=length, cut=bool(tail))
+    length = sum(map(len, lines))
+    tail = data[length:]
+    if tail.endswith(b"\n"):
+        _read_records(path, data)
+    stored = _Stored(inputs, cut=bool(tail))
     if state["fingerprint"] == config.fingerprints[extractor_id]:
         for (doc_id, entry), line in zip(documents.items(), lines):
             if inputs.get(doc_id) == entry[0]:
                 stored.lines[doc_id], stored.entries[doc_id] = line, entry
     if len(stored.entries) == len(documents) and not tail.endswith(b"\n"):
-        stored.committed = committed
+        stored.offset = length
     return stored
 
 
@@ -483,32 +484,25 @@ def _commit(
     """
     path = config.predictions_path(extractor_id)
     lines = {record.document_id: json_line(record) for record in new}
-    if stored.committed is not None:
-        length, committed, documents = stored.length, stored.committed, stored.entries
+    if stored.offset is not None:
+        offset, documents = stored.offset, stored.entries
         try:
             with open(path, "r+b") as fh:
-                fh.truncate(length)  # cuts an interrupted append
-                fh.seek(length)
+                fh.truncate(offset)  # cuts an interrupted append
+                fh.seek(offset)
                 fh.writelines(lines.values())
         except BaseException:
-            os.truncate(path, length)
+            os.truncate(path, offset)
             raise
     else:
         lines |= stored.lines
         lines = {doc.id: lines[doc.id] for doc in docs if doc.id in lines}
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, lines.values())
-        length, committed, documents = 0, hashlib.sha256(), {}
+        documents = {}
     for doc_id, line in lines.items():
-        committed.update(line)
-        length += len(line)
         documents[doc_id] = [stored.inputs[doc_id], hashlib.sha256(line).hexdigest()]
-    state = {
-        "fingerprint": config.fingerprints[extractor_id],
-        "length": length,
-        "sha256": committed.hexdigest(),
-        "documents": documents,
-    }
+    state = {"fingerprint": config.fingerprints[extractor_id], "documents": documents}
     state_path = config.state_path(extractor_id)
     state_path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(state_path, [json.dumps(state, separators=(",", ":")).encode("utf-8")])
@@ -571,7 +565,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
         except ExtractionFailed as exc:
             new, failure = exc.partial_records, exc
         # An appendable file with nothing to add or cut stays as it is.
-        unchanged = stored.committed is not None and not stored.cut
+        unchanged = stored.offset is not None and not stored.cut
         if new or (failure is None and not unchanged):
             _commit(config, spec.id, stored, new, docs)
         if failure is not None:
@@ -614,10 +608,10 @@ def _corpus_digest(path: Path) -> str:
 def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
     """The comparison keys of an extractor's records, by document id.
 
-    When the sidecar vouches for every byte of the predictions file, the
+    When the sidecar vouches for every line of the predictions file, the
     keys are read from the stored tags without decoding any record. Any
-    other file (no sidecar or an unreadable one, a length or digest that
-    differs, lines past the committed bytes) is decoded and validated in
+    other file (no sidecar or an unreadable one, a line that ``_vouched``
+    refuses, bytes past the committed lines) is decoded and validated in
     full, so an edited line is still an input error naming the line.
     """
     path = config.predictions_path(extractor_id)
@@ -626,7 +620,8 @@ def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
         state = _read_state(config.state_path(extractor_id))
     except (SchemaError, OSError):
         state = None
-    if state is not None and len(data) == state["length"] and _committed(data, state) is not None:
+    lines = None if state is None else _vouched(data, state["documents"])
+    if lines is not None and sum(map(len, lines)) == len(data):
         try:
             return stored_keys(data)
         except (LookupError, TypeError, ValueError, AttributeError):
@@ -655,12 +650,14 @@ def cmd_evaluate(config: RunConfig) -> int:
         gold_path=str(config.gold),
         corpus_digest=_corpus_digest(config.corpus),
     )
+    # Every format is rendered before any is written, so a failed render writes nothing.
+    text = json.dumps(report.to_json(), ensure_ascii=False, indent=2) + "\n"
+    rendered = {"report.json": text.encode("utf-8")}
+    rendered |= {name: render_report(report, fmt) for fmt, name in REPORT_FORMATS.items()}
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report.to_json(), ensure_ascii=False, indent=2) + "\n"
-    write_atomic(out / "report.json", [text.encode("utf-8")])
-    for fmt, filename in REPORT_FORMATS.items():
-        write_atomic(out / filename, [render_report(report, fmt)])
+    for name, data in rendered.items():
+        write_atomic(out / name, [data])
     print(f"evaluated {len(records_by_extractor)} extractors over {len(golds)} gold documents")
     print(f"reports written to {out}")
     return EXIT_OK

@@ -410,8 +410,10 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp) and exc.filename2 is None:
+            exc.filename = str(path)  # name the file asked for, not the temporary one
         raise
 
 

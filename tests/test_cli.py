@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -7,11 +8,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epix import cli, llm
 from epix.cli import load_run_config, main
 from epix.corpus import (
-    Document, ExtractionRecord, GoldAnnotation, Source, load_corpus, save_corpus, save_gold
+    Document, ExtractionRecord, GoldAnnotation, Source, json_line, load_corpus, save_corpus,
+    save_gold,
 )
 from epix.errors import ConfigError
 from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
@@ -797,6 +800,148 @@ def test_swapped_sidecar_entries_attribute_no_record_to_another_document(tmp_pat
         ).read_bytes(), ext
 
 
+def _no_write(path, *args):
+    raise AssertionError(f"wrote {path}")
+
+
+def test_sidecar_with_the_old_length_and_sha256_keys_is_still_vouched(
+    tmp_path, monkeypatch, capsys
+):
+    docs, config = _three_extractors(tmp_path)
+    for ext in _THREE:
+        sidecar = _state_file(tmp_path, ext)
+        state = json.loads(sidecar.read_bytes())
+        assert sorted(state) == ["documents", "fingerprint"], ext
+        # The form older versions wrote: the whole file's length and SHA-256 too.
+        data = _predictions_file(tmp_path, ext).read_bytes()
+        old = {
+            "fingerprint": state["fingerprint"],
+            "length": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "documents": state["documents"],
+        }
+        sidecar.write_text(json.dumps(old, separators=(",", ":")), encoding="utf-8")
+    monkeypatch.setattr(cli, "write_atomic", _no_write)
+    monkeypatch.setattr(cli, "open", _no_write, raising=False)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    for ext in _THREE:
+        assert f"{ext}: 3 records (0 new)" in out
+    monkeypatch.undo()
+    calls = _count_codec_calls(monkeypatch)
+    assert main(["--config", str(config), "evaluate"]) == 0
+    assert calls["decode"] == 0
+    # An append writes the sidecar afresh, without the old keys.
+    _add_document(tmp_path, docs)
+    assert main(["--config", str(config), "extract"]) == 0
+    for ext in _THREE:
+        assert sorted(json.loads(_state_file(tmp_path, ext).read_bytes())) == [
+            "documents", "fingerprint"
+        ], ext
+
+
+def _whole_file_vouched(data, state):
+    """The check of a sidecar that also held the committed ``length`` and
+    ``sha256``, which per-line digests alone replaced, kept as their oracle:
+    the verdict, and the bytes after the committed ones when vouched."""
+    length = state["length"]
+    committed = data[:length]
+    lines = committed.splitlines(keepends=True)
+    vouched = (
+        len(data) >= length
+        and hashlib.sha256(committed).hexdigest() == state["sha256"]
+        and len(lines) == len(state["documents"])
+        and all(
+            hashlib.sha256(line).hexdigest() == entry[1]
+            for line, entry in zip(lines, state["documents"].values())
+        )
+    )
+    return vouched, data[length:] if vouched else None
+
+
+def _note(i):
+    """A json_line whose body holds newlines and carriage returns, escaped."""
+    body = f"Cholera in Yemen\r\n{7 + i} cases\rsince May\n"
+    return json_line(Document(id=f"d{i}", source=Source.PROMED, title=f"t{i}", body=body))
+
+
+def _lines_edit(edit):
+    """An edit of ``data`` as lines: ``edit(lines, i, j)``, for two drawn line indices."""
+
+    def apply(draw, data):
+        lines = data.splitlines(keepends=True)
+        if lines:
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            edit(lines, i, j)
+        return b"".join(lines)
+
+    return apply
+
+
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _insert_line(draw, data):
+    lines = data.splitlines(keepends=True)
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_SPARE)))
+    return b"".join(lines)
+
+
+def _insert_at(draw, data, insert):
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + insert + data[at:]
+
+
+def _flip_bit(draw, data):
+    if not data:
+        return data
+    at = draw(st.integers(0, len(data) - 1))
+    return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1 :]
+
+
+_SPARE = [_note(i) for i in range(5, 8)]
+_EDITS = [
+    # truncated
+    lambda draw, data: data[: draw(st.integers(0, len(data)))],
+    # a line inserted, deleted, duplicated or swapped with another
+    _insert_line,
+    _lines_edit(lambda lines, i, j: lines.pop(i)),
+    _lines_edit(lambda lines, i, j: lines.insert(j, lines[i])),
+    _lines_edit(_swap),
+    # whole lines appended, or the start of one
+    lambda draw, data: data + b"".join(draw(st.lists(st.sampled_from(_SPARE), max_size=2))),
+    lambda draw, data: data + draw(st.sampled_from(_SPARE))[: draw(st.integers(1, 60))],
+    # a flipped bit, a stray carriage return or newline
+    _flip_bit,
+    lambda draw, data: _insert_at(draw, data, draw(st.sampled_from([b"\r", b"\n", b"\r\n"]))),
+]
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_line_digests_vouch_exactly_when_the_whole_file_digest_did(data):
+    lines = [_note(i) for i in range(data.draw(st.integers(0, 4)))]
+    committed = b"".join(lines)
+    state = {
+        "fingerprint": "f",
+        "length": len(committed),
+        "sha256": hashlib.sha256(committed).hexdigest(),
+        "documents": {
+            f"d{i}": ["input", hashlib.sha256(line).hexdigest()] for i, line in enumerate(lines)
+        },
+    }
+    edited = committed
+    for edit in data.draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+        edited = edit(data.draw, edited)
+    vouched = cli._vouched(edited, state["documents"])
+    tail = None if vouched is None else edited[sum(map(len, vouched)) :]
+    assert (vouched is not None, tail) == _whole_file_vouched(edited, state)
+    if vouched is not None:
+        assert b"".join(vouched) == committed
+
+
 def test_loading_a_config_does_not_import_requests(tmp_path):
     config = _write_config(
         tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"}]
@@ -1018,6 +1163,26 @@ def test_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch):
     assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
 
 
+def test_evaluate_that_cannot_render_writes_no_report(tmp_path, capsys):
+    config = _extract_and_evaluate(tmp_path)
+    out = tmp_path / "out"
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    _edit_config(config, lambda data: data.update(extractors=[]))
+    capsys.readouterr()
+    assert main(["--config", str(config), "evaluate"]) == 4
+    assert "no extractors" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == before
+
+
+def test_report_out_into_a_missing_directory_names_that_file(tmp_path, capsys):
+    _extract_and_evaluate(tmp_path)
+    target = tmp_path / "nodir" / "x.txt"
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "out" / "report.json"), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{target}'" in err and ".tmp" not in err
+
+
 def test_report_format_conversions(tmp_path, capsys):
     _extract_and_evaluate(tmp_path)
     report_path = tmp_path / "out" / "report.json"
@@ -1036,6 +1201,18 @@ def _edited_config(edit):
         path = _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}])
         path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
         return path, ["--config", str(path), "extract"]
+
+    return make
+
+
+def _bad_ensemble(key, **fields):
+    """A config whose ensemble of ``a`` and ``b`` has ``fields``; the error names ``key``."""
+
+    def make(tmp_path):
+        ensemble = {"id": "ab", "kind": "ensemble", "members": ["a", "b"], **fields}
+        extractors = [{"id": "a", "kind": "rule_based"}, {"id": "b", "kind": "rule_based"}, ensemble]
+        path, argv = _edited_config(lambda c: {**c, "extractors": extractors})(tmp_path)
+        return f"{path}: {key} must be a list of extractor ids", argv
 
     return make
 
@@ -1097,6 +1274,11 @@ def _edited_report(edit):
                 ],
             }
         ),
+        _bad_ensemble("members", members="ab"),
+        _bad_ensemble("members", members={"a": 1, "b": 2}),
+        _bad_ensemble("members", members=["a", "b", 3], policy={"priority": ["b", "a"]}),
+        _bad_ensemble("policy.priority", policy={"priority": "ba"}),
+        _bad_ensemble("policy.priority", policy={"priority": ["b", "a", 3]}),
         _edited_config(lambda c: [c]),
         *(
             _edited_config(lambda c, bad=bad: {**c, "extractors": [{"id": bad, "kind": "rule_based"}]})
@@ -1112,7 +1294,8 @@ def _edited_report(edit):
     ],
     ids=[
         "match-mode", "transport-mode", "tie-break", "min-agreement", "ensemble-cycle",
-        "top-level-list",
+        "members-string", "members-object", "members-number", "priority-string",
+        "priority-number", "top-level-list",
         "id-parent", "id-dot", "id-escape", "id-slash", "id-backslash", "id-absolute",
         "id-nul", "id-number", "id-list",
         "torn-report", "report-cell-missing", "report-extractor-without-cells",
