@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from .corpus import (
     parse_don_article,
     parse_promed_post,
     read_jsonl,
-    save_corpus,
     stored_keys,
     with_id,
     write_atomic,
@@ -138,6 +138,14 @@ def _ids(section: dict, name: str, default: list[str]) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _checked(value, name: str, kind: type):
+    """``value``, the config value ``name``, checked to be a JSON object or list (``kind``)."""
+    if not isinstance(value, kind):
+        expected = "a JSON object" if kind is dict else "a JSON list"
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
 def _parse_policy(data: dict, members: Sequence[str]) -> VotePolicy:
     tie_break = TieBreak(data.get("tie_break", "priority_order").upper())
     return VotePolicy(
@@ -164,8 +172,8 @@ def _parse_run_config(data) -> RunConfig:
     registry = default_registry()
     extractors: list[ExtractorSpec] = []
     seen_ids: set[str] = set()
-    for entry in data.get("extractors", []):
-        extractor_id = entry.get("id")
+    for i, entry in enumerate(_checked(data.get("extractors", []), "extractors", list)):
+        extractor_id = _checked(entry, f"extractors[{i}]", dict).get("id")
         if not extractor_id:
             raise ConfigError("every extractor needs an id")
         # The id names the predictions file, so it must stay a single file name.
@@ -196,7 +204,7 @@ def _parse_run_config(data) -> RunConfig:
         elif kind == ENSEMBLE:
             # EnsembleConfig validates member count, distinctness and priority coverage.
             members = _ids(entry, "members", [])
-            policy = _parse_policy(entry.get("policy", {}), members)
+            policy = _parse_policy(_checked(entry.get("policy", {}), "policy", dict), members)
             ensemble = EnsembleConfig(extractor_id, members, policy)
             extractors.append(ExtractorSpec(extractor_id, kind, ensemble=ensemble))
         else:
@@ -212,10 +220,10 @@ def _parse_run_config(data) -> RunConfig:
 
     if not data.get("corpus"):
         raise ConfigError("config needs a corpus path")
-    transport = data.get("transport", {})
+    transport = _checked(data.get("transport", {}), "transport", dict)
     mode = TransportMode(str(transport.get("mode", "replay")).upper())
     cache_dir = transport.get("cache_dir")
-    sampling = data.get("sampling", {})
+    sampling = _checked(data.get("sampling", {}), "sampling", dict)
     config = RunConfig(
         corpus=Path(data["corpus"]),
         gold=Path(data["gold"]) if data.get("gold") else None,
@@ -236,18 +244,30 @@ def _parse_run_config(data) -> RunConfig:
     return config
 
 
-# The modules whose code decides a rule-based record.
+# The modules whose code decides a rule-based record, and a corpus line.
 _RULE_BASED_SOURCES = ("annotator.py", "normalize.py", "gazetteer.py")
+_INGEST_SOURCES = ("corpus.py", "normalize.py")
+
+
+def source_digest(names: Sequence[str]) -> str:
+    """sha256 over the source of the named epix modules, file by file."""
+    digest = hashlib.sha256()
+    for name in names:
+        source = Path(annotator.__file__).with_name(name).read_bytes()
+        digest.update(hashlib.sha256(source).digest())
+    return digest.hexdigest()
 
 
 @lru_cache(maxsize=1)
 def rule_based_source_digest() -> str:
-    """sha256 over the source of the rule-based extractor's modules, file by file."""
-    digest = hashlib.sha256()
-    for name in _RULE_BASED_SOURCES:
-        source = Path(annotator.__file__).with_name(name).read_bytes()
-        digest.update(hashlib.sha256(source).digest())
-    return digest.hexdigest()
+    """``source_digest`` of the rule-based extractor's modules, once per process."""
+    return source_digest(_RULE_BASED_SOURCES)
+
+
+@lru_cache(maxsize=1)
+def ingest_source_digest() -> str:
+    """``source_digest`` of the modules that turn a raw file into a corpus line."""
+    return source_digest(_INGEST_SOURCES)
 
 
 def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> dict[str, str]:
@@ -300,32 +320,97 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
 # --- commands ----------------------------------------------------------------
 
 
+def _decode(raw: bytes) -> str:
+    """A raw file's text as ``Path.read_text(encoding="utf-8", errors="replace")``
+    reads it, universal newlines included."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace").read()
+
+
+def _corpus_line(source: str, file: Path, raw: bytes) -> bytes:
+    """The corpus line of one raw file; its stem is the document id."""
+    text = _decode(raw)
+    try:
+        if source == "promed":
+            doc = parse_promed_post(text, hint={"id": file.stem})
+        else:
+            doc = with_id(parse_don_article(text, url=""), file.stem)
+    except EmptyInput as exc:
+        raise EmptyInput(f"{file}: {exc}") from None
+    return json_line(doc)
+
+
+def _committed_corpus(
+    out_path: Path, state_path: Path, fingerprint: str
+) -> tuple[dict[str, list[str]], dict[str, bytes], Optional[int]]:
+    """The sidecar's entries, their committed corpus lines by document id,
+    and the corpus length; none when the sidecar does not vouch for every
+    byte of the corpus (see ``_wholly_vouched``) or holds another fingerprint."""
+    try:
+        data = out_path.read_bytes()
+    except OSError:
+        return {}, {}, None
+    vouched = _wholly_vouched(data, state_path)
+    if vouched is None or vouched[0]["fingerprint"] != fingerprint:
+        return {}, {}, None
+    documents = vouched[0]["documents"]
+    return documents, dict(zip(documents, vouched[1])), len(data)
+
+
 def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
     """Parse raw feed dumps into a corpus file; document ids come from filenames.
 
-    An empty raw file, or two raw files with one id (``a.txt`` and
-    ``a.html``), is an input error naming them, and nothing is written.
+    Only raw files that are new or whose bytes changed are parsed. The
+    sidecar ``<out>.state.json`` maps each document id to the SHA-256 of its
+    raw file and of its corpus line, under a fingerprint of ``source`` and
+    the ingest code. When the sidecar vouches for every byte of the corpus
+    (see ``_wholly_vouched``) and its fingerprint matches, a document whose raw
+    bytes are unchanged keeps its line, copied as bytes. New documents that
+    sort after every kept one are appended; any other change rewrites the
+    corpus in file-name order, and with nothing changed neither file is
+    written. Either way the corpus is byte-identical to a full ingest's.
+
+    An empty raw file, two raw files with one id (``a.txt`` and
+    ``a.html``), or an ``out_path`` in the input directory, which a later
+    ingest would read as a raw file, is an input error naming them, and
+    nothing is written.
     """
     files = [input_path]
     if input_path.is_dir():
+        if out_path.parent.resolve() == input_path.resolve():
+            raise ConfigError(
+                f"--out {out_path} is in the input directory {input_path}, "
+                "so a later ingest would read it as a raw file"
+            )
         files = sorted(p for p in input_path.iterdir() if p.is_file())
-    docs: dict[str, Document] = {}
+    by_stem: dict[str, Path] = {}
     for file in files:
-        if file.stem in docs:
-            twin = next(f for f in files if f.stem == file.stem)
+        twin = by_stem.setdefault(file.stem, file)
+        if twin is not file:
             raise SchemaError(f"{twin} and {file} would both be document {file.stem!r}")
-        raw = file.read_text(encoding="utf-8", errors="replace")
-        try:
-            if source == "promed":
-                docs[file.stem] = parse_promed_post(raw, hint={"id": file.stem})
-            else:
-                docs[file.stem] = with_id(parse_don_article(raw, url=""), file.stem)
-        except EmptyInput as exc:
-            raise EmptyInput(f"{file}: {exc}") from None
-    save_corpus(docs.values(), out_path)
-    if not docs:
+
+    state_path = out_path.with_name(out_path.name + ".state.json")
+    fingerprint = _digest(source, ingest_source_digest())
+    documents, kept, offset = _committed_corpus(out_path, state_path, fingerprint)
+    lines: dict[str, bytes] = {}
+    new: dict[str, bytes] = {}
+    digests: dict[str, str] = {}
+    for stem, file in by_stem.items():
+        raw = file.read_bytes()
+        digests[stem] = hashlib.sha256(raw).hexdigest()
+        if stem in kept and documents[stem][0] == digests[stem]:
+            lines[stem] = kept[stem]
+        else:
+            lines[stem] = new[stem] = _corpus_line(source, file, raw)
+    # Append only when every committed line stays, in order, before the new ones.
+    if offset is not None and list(lines) == [*documents, *new]:
+        written = new
+    else:
+        offset, written = None, lines
+    if offset is None or written:
+        _save(out_path, offset, written, documents, digests, state_path, fingerprint)
+    if not lines:
         print("warning: no input files found", file=sys.stderr)
-    print(f"ingested {len(docs)} documents into {out_path}")
+    print(f"ingested {len(lines)} documents ({len(new)} parsed) into {out_path}")
     return EXIT_OK
 
 
@@ -368,6 +453,20 @@ def _vouched(data: bytes, documents: dict) -> Optional[list[bytes]]:
     ):
         return lines
     return None
+
+
+def _wholly_vouched(data: bytes, state_path: Path) -> Optional[tuple[dict, list[bytes]]]:
+    """The sidecar at ``state_path`` and its committed lines (see ``_vouched``),
+    when those are all of ``data``; None for a missing or unreadable sidecar,
+    a line that fails its digest, or bytes past the committed lines."""
+    try:
+        state = _read_state(state_path)
+    except (SchemaError, OSError):
+        return None
+    lines = None if state is None else _vouched(data, state["documents"])
+    if lines is None or sum(map(len, lines)) != len(data):
+        return None
+    return state, lines
 
 
 def _read_records(path: Path, data: bytes) -> list[ExtractionRecord]:
@@ -469,6 +568,44 @@ class _Reuse:
         return self._stored[extractor_id]
 
 
+def _save(
+    path: Path,
+    offset: Optional[int],
+    lines: dict[str, bytes],
+    entries: dict[str, list[str]],
+    inputs: dict[str, str],
+    state_path: Path,
+    fingerprint: str,
+) -> dict[str, list[str]]:
+    """Append ``lines`` at ``offset``, after the committed lines of the
+    sidecar ``entries``, or, when ``offset`` is None, rewrite the file as
+    ``lines`` alone; then write the sidecar and return its entries.
+
+    Bytes past ``offset`` (an interrupted append) are cut first, and a failed
+    append is cut back to ``offset``. A line's entry is ``[inputs[id],
+    SHA-256 of the line]``.
+    """
+    if offset is not None:
+        try:
+            with open(path, "r+b") as fh:
+                fh.truncate(offset)
+                fh.seek(offset)
+                fh.writelines(lines.values())
+        except BaseException:
+            os.truncate(path, offset)
+            raise
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, lines.values())
+        entries = {}
+    for doc_id, line in lines.items():
+        entries[doc_id] = [inputs[doc_id], hashlib.sha256(line).hexdigest()]
+    state = {"fingerprint": fingerprint, "documents": entries}
+    state_path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(state_path, [json.dumps(state, separators=(",", ":")).encode("utf-8")])
+    return entries
+
+
 def _commit(
     config: RunConfig,
     extractor_id: str,
@@ -478,35 +615,17 @@ def _commit(
 ) -> None:
     """Append the new records, or rewrite the file in corpus order, then its sidecar.
 
-    A rewrite copies the kept lines as they are. A failed append is cut
-    back to the committed bytes. ``stored.entries`` then holds the
-    sidecar's entries.
+    A rewrite copies the kept lines as they are. ``stored.entries`` then
+    holds the sidecar's entries.
     """
-    path = config.predictions_path(extractor_id)
     lines = {record.document_id: json_line(record) for record in new}
-    if stored.offset is not None:
-        offset, documents = stored.offset, stored.entries
-        try:
-            with open(path, "r+b") as fh:
-                fh.truncate(offset)  # cuts an interrupted append
-                fh.seek(offset)
-                fh.writelines(lines.values())
-        except BaseException:
-            os.truncate(path, offset)
-            raise
-    else:
+    if stored.offset is None:
         lines |= stored.lines
         lines = {doc.id: lines[doc.id] for doc in docs if doc.id in lines}
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, lines.values())
-        documents = {}
-    for doc_id, line in lines.items():
-        documents[doc_id] = [stored.inputs[doc_id], hashlib.sha256(line).hexdigest()]
-    state = {"fingerprint": config.fingerprints[extractor_id], "documents": documents}
-    state_path = config.state_path(extractor_id)
-    state_path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(state_path, [json.dumps(state, separators=(",", ":")).encode("utf-8")])
-    stored.entries = documents
+    stored.entries = _save(
+        config.predictions_path(extractor_id), stored.offset, lines, stored.entries,
+        stored.inputs, config.state_path(extractor_id), config.fingerprints[extractor_id],
+    )
 
 
 def _each(docs: Sequence[Document], extract) -> list[ExtractionRecord]:
@@ -616,12 +735,7 @@ def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
     """
     path = config.predictions_path(extractor_id)
     data = path.read_bytes()
-    try:
-        state = _read_state(config.state_path(extractor_id))
-    except (SchemaError, OSError):
-        state = None
-    lines = None if state is None else _vouched(data, state["documents"])
-    if lines is not None and sum(map(len, lines)) == len(data):
+    if _wholly_vouched(data, config.state_path(extractor_id)) is not None:
         try:
             return stored_keys(data)
         except (LookupError, TypeError, ValueError, AttributeError):

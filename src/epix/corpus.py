@@ -401,7 +401,8 @@ def read_jsonl(
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write the chunks to a temporary file beside ``path`` that then replaces it.
 
-    A failure part-way leaves the previous file whole and no temporary file.
+    A failure part-way leaves the previous file whole and no temporary file;
+    an OSError about the temporary file is raised naming ``path`` instead.
     The directory must exist.
     """
     path = Path(path)
@@ -412,8 +413,9 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename == str(tmp) and exc.filename2 is None:
-            exc.filename = str(path)  # name the file asked for, not the temporary one
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # Name the file asked for alone, not the temporary one.
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

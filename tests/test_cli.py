@@ -531,6 +531,28 @@ def test_failed_append_is_cut_back_to_the_committed_bytes(tmp_path, monkeypatch,
         assert _predictions(tmp_path, ext) == _predictions(tmp_path, ext, out="clean"), ext
 
 
+def test_failed_ingest_append_is_cut_back_to_the_committed_bytes(tmp_path, monkeypatch, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    corpus = tmp_path / "corpus.jsonl"
+    sidecar = tmp_path / "corpus.jsonl.state.json"
+    ingest = ["ingest", "--source", "promed", str(raw), "--out"]
+    for name in ("a.txt", "b.txt"):
+        (raw / name).write_text(_POST, encoding="utf-8")
+    assert main([*ingest, str(corpus)]) == 0
+    before = corpus.read_bytes(), sidecar.read_bytes()
+    for name in ("c.txt", "d.txt"):
+        (raw / name).write_text(_POST, encoding="utf-8")
+    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    assert main([*ingest, str(corpus)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert (corpus.read_bytes(), sidecar.read_bytes()) == before
+    monkeypatch.undo()
+    assert main([*ingest, str(corpus)]) == 0
+    assert main([*ingest, str(tmp_path / "clean.jsonl")]) == 0
+    assert corpus.read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+
+
 def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
     _, config = _three_extractors(tmp_path)
 
@@ -1183,6 +1205,27 @@ def test_report_out_into_a_missing_directory_names_that_file(tmp_path, capsys):
     assert f"'{target}'" in err and ".tmp" not in err
 
 
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_out_that_is_a_directory_names_it_and_leaves_no_temporary_file(tmp_path, capsys, command):
+    _extract_and_evaluate(tmp_path)
+    target = tmp_path / "outdir"
+    target.mkdir()
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "a.txt").write_text(_POST, encoding="utf-8")
+    argv = {
+        "ingest": ["ingest", "--source", "promed", str(raw), "--out", str(target)],
+        "report": ["report", str(tmp_path / "out" / "report.json"), "--out", str(target)],
+    }[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"Is a directory: '{target}'" in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not any(target.iterdir())
+
+
 def test_report_format_conversions(tmp_path, capsys):
     _extract_and_evaluate(tmp_path)
     report_path = tmp_path / "out" / "report.json"
@@ -1308,6 +1351,31 @@ def test_bad_config_value_or_report_exits_2_naming_the_file(tmp_path, capsys, ma
     capsys.readouterr()
     assert main(argv) == 2
     assert str(named) in capsys.readouterr().err
+
+
+def _ensemble_policy(policy):
+    ensemble = {"id": "ab", "kind": "ensemble", "members": ["a", "b"], "policy": policy}
+    return [{"id": "a", "kind": "rule_based"}, {"id": "b", "kind": "rule_based"}, ensemble]
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda c: {**c, "extractors": {"id": "a"}}, "extractors"),
+        (lambda c: {**c, "extractors": ["a"]}, "extractors[0]"),
+        (lambda c: {**c, "extractors": [{"id": "a", "kind": "rule_based"}, None]}, "extractors[1]"),
+        (lambda c: {**c, "transport": "x"}, "transport"),
+        (lambda c: {**c, "sampling": []}, "sampling"),
+        (lambda c: {**c, "extractors": _ensemble_policy("x")}, "policy"),
+    ],
+    ids=["extractors-object", "extractor-string", "extractor-null", "transport", "sampling", "policy"],
+)
+def test_config_section_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsys, edit, key):
+    path, argv = _edited_config(edit)(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"error: {path}: {key} must be a JSON " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_extractor_id_outside_the_output_directory_writes_nothing(tmp_path):
