@@ -13,15 +13,13 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import annotator, llm
+from . import annotator, llm, state
 from .corpus import (
     Document,
     ExtractionRecord,
@@ -30,7 +28,6 @@ from .corpus import (
     load_gold,
     parse_don_article,
     parse_promed_post,
-    read_jsonl,
     stored_keys,
     with_id,
     write_atomic,
@@ -339,35 +336,19 @@ def _corpus_line(source: str, file: Path, raw: bytes) -> bytes:
     return json_line(doc)
 
 
-def _committed_corpus(
-    out_path: Path, state_path: Path, fingerprint: str
-) -> tuple[dict[str, list[str]], dict[str, bytes], Optional[int]]:
-    """The sidecar's entries, their committed corpus lines by document id,
-    and the corpus length; none when the sidecar does not vouch for every
-    byte of the corpus (see ``_wholly_vouched``) or holds another fingerprint."""
-    try:
-        data = out_path.read_bytes()
-    except OSError:
-        return {}, {}, None
-    vouched = _wholly_vouched(data, state_path)
-    if vouched is None or vouched[0]["fingerprint"] != fingerprint:
-        return {}, {}, None
-    documents = vouched[0]["documents"]
-    return documents, dict(zip(documents, vouched[1])), len(data)
-
-
 def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
     """Parse raw feed dumps into a corpus file; document ids come from filenames.
 
     Only raw files that are new or whose bytes changed are parsed. The
     sidecar ``<out>.state.json`` maps each document id to the SHA-256 of its
     raw file and of its corpus line, under a fingerprint of ``source`` and
-    the ingest code. When the sidecar vouches for every byte of the corpus
-    (see ``_wholly_vouched``) and its fingerprint matches, a document whose raw
-    bytes are unchanged keeps its line, copied as bytes. New documents that
-    sort after every kept one are appended; any other change rewrites the
-    corpus in file-name order, and with nothing changed neither file is
-    written. Either way the corpus is byte-identical to a full ingest's.
+    the ingest code (see ``state.committed``). When the sidecar vouches
+    for every byte of the corpus and its fingerprint matches, a document
+    whose raw bytes are unchanged keeps its line, copied as bytes. New
+    documents that sort after every kept one are appended, and so are their
+    sidecar rows; any other change rewrites the corpus in file-name order,
+    and with nothing changed neither file is written. Either way the corpus
+    is byte-identical to a full ingest's.
 
     An empty raw file, two raw files with one id (``a.txt`` and
     ``a.html``), or an ``out_path`` in the input directory, which a later
@@ -389,229 +370,32 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
             raise SchemaError(f"{twin} and {file} would both be document {file.stem!r}")
 
     state_path = out_path.with_name(out_path.name + ".state.json")
-    fingerprint = _digest(source, ingest_source_digest())
-    documents, kept, offset = _committed_corpus(out_path, state_path, fingerprint)
+    fingerprint = state.digest(source, ingest_source_digest())
+    stored = state.committed(out_path, state_path, fingerprint)
     lines: dict[str, bytes] = {}
     new: dict[str, bytes] = {}
-    digests: dict[str, str] = {}
     for stem, file in by_stem.items():
         raw = file.read_bytes()
-        digests[stem] = hashlib.sha256(raw).hexdigest()
-        if stem in kept and documents[stem][0] == digests[stem]:
-            lines[stem] = kept[stem]
+        stored.inputs[stem] = hashlib.sha256(raw).hexdigest()
+        if stem in stored.lines and stored.entries[stem][0] == stored.inputs[stem]:
+            lines[stem] = stored.lines[stem]
         else:
             lines[stem] = new[stem] = _corpus_line(source, file, raw)
     # Append only when every committed line stays, in order, before the new ones.
-    if offset is not None and list(lines) == [*documents, *new]:
+    if stored.offset is not None and list(lines) == [*stored.entries, *new]:
         written = new
     else:
-        offset, written = None, lines
-    if offset is None or written:
-        _save(out_path, offset, written, documents, digests, state_path, fingerprint)
+        stored.offset, written = None, lines
+    if stored.offset is None or written:
+        stored.save(written)
     if not lines:
         print("warning: no input files found", file=sys.stderr)
     print(f"ingested {len(lines)} documents ({len(new)} parsed) into {out_path}")
     return EXIT_OK
 
 
-def _digest(*parts: str) -> str:
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-
-def _document_digest(doc: Document) -> str:
-    """Digest of what an extractor reads of a document: its publication date and body."""
-    return _digest(doc.published.isoformat() if doc.published else "", doc.body)
-
-
-def _read_state(path: Path) -> Optional[dict]:
-    """A predictions file's sidecar; none when the file predates sidecars."""
-    try:
-        state = json.loads(path.read_bytes())
-    except FileNotFoundError:
-        return None
-    except ValueError as exc:
-        raise SchemaError(f"{path}: unreadable resume state ({exc})") from None
-    if not (
-        isinstance(state, dict)
-        and isinstance(state.get("fingerprint"), str)
-        and isinstance(state.get("documents"), dict)
-        and all(
-            type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
-            for e in state["documents"].values()
-        )
-    ):
-        raise SchemaError(f"{path}: unreadable resume state")
-    return state
-
-
-def _vouched(data: bytes, documents: dict) -> Optional[list[bytes]]:
-    """A predictions file's committed lines: its first ``len(documents)`` lines,
-    when each hashes, in order, to its sidecar entry's record digest."""
-    lines = data.splitlines(keepends=True)[: len(documents)]
-    if len(lines) == len(documents) and all(
-        hashlib.sha256(line).hexdigest() == entry[1] for line, entry in zip(lines, documents.values())
-    ):
-        return lines
-    return None
-
-
-def _wholly_vouched(data: bytes, state_path: Path) -> Optional[tuple[dict, list[bytes]]]:
-    """The sidecar at ``state_path`` and its committed lines (see ``_vouched``),
-    when those are all of ``data``; None for a missing or unreadable sidecar,
-    a line that fails its digest, or bytes past the committed lines."""
-    try:
-        state = _read_state(state_path)
-    except (SchemaError, OSError):
-        return None
-    lines = None if state is None else _vouched(data, state["documents"])
-    if lines is None or sum(map(len, lines)) != len(data):
-        return None
-    return state, lines
-
-
-def _read_records(path: Path, data: bytes) -> list[ExtractionRecord]:
-    """Decode and validate every record of a predictions file; a fault names its line."""
-    return read_jsonl(path, ExtractionRecord.from_json, unique=attrgetter("document_id"), data=data)
-
-
-@dataclass
-class _Stored:
-    """What a resume may reuse of one extractor's predictions file, and what it made of it.
-
-    ``inputs`` holds the input digest of each document the extractor can
-    work on now (see ``_Reuse``). ``lines`` holds each reusable record's
-    line by document id, and ``entries`` the sidecar entry, ``[input
-    digest, record digest]``, of each line the sidecar vouches for; after
-    ``_commit`` they are the new sidecar's. ``offset`` is where new lines
-    are appended, or None when the file must be rewritten, and ``cut``
-    says that an interrupted append left bytes there. ``records`` holds
-    the records this run made.
-    """
-
-    inputs: dict[str, str]
-    lines: dict[str, bytes] = field(default_factory=dict)
-    entries: dict[str, list[str]] = field(default_factory=dict)
-    offset: Optional[int] = None
-    cut: bool = False
-    records: dict[str, ExtractionRecord] = field(default_factory=dict)
-
-
-def _stored(config: RunConfig, extractor_id: str, inputs: dict[str, str]) -> _Stored:
-    """Check an extractor's predictions file against its sidecar.
-
-    The sidecar vouches for the file's first lines, one per entry of its
-    ``documents``, when each hashes, in order, to its entry's record digest
-    (see ``_vouched``); those lines are the committed bytes. A vouched line
-    is reused as it is when the sidecar's fingerprint matches the
-    extractor's and the input digest of the line's document is unchanged.
-    Bytes the sidecar does not vouch for are read in full, so an input
-    error names its line: a file whose lines fail that check, whole lines
-    after the committed bytes (added by hand, say), and a file without a
-    sidecar, whose records are all adopted. Other bytes after the committed
-    ones are what an interrupted append leaves, and are cut. Appending is
-    safe when every committed record is reused.
-    """
-    path = config.predictions_path(extractor_id)
-    if not path.exists():
-        return _Stored(inputs)
-    data = path.read_bytes()
-    state = _read_state(config.state_path(extractor_id))
-    if state is None:
-        adopted = {r.document_id: r for r in _read_records(path, data)}
-        return _Stored(inputs, {d: json_line(r) for d, r in adopted.items() if d in inputs})
-    documents = state["documents"]
-    lines = _vouched(data, documents)
-    if lines is None:
-        _read_records(path, data)
-        return _Stored(inputs)
-    length = sum(map(len, lines))
-    tail = data[length:]
-    if tail.endswith(b"\n"):
-        _read_records(path, data)
-    stored = _Stored(inputs, cut=bool(tail))
-    if state["fingerprint"] == config.fingerprints[extractor_id]:
-        for (doc_id, entry), line in zip(documents.items(), lines):
-            if inputs.get(doc_id) == entry[0]:
-                stored.lines[doc_id], stored.entries[doc_id] = line, entry
-    if len(stored.entries) == len(documents) and not tail.endswith(b"\n"):
-        stored.offset = length
-    return stored
-
-
-class _Reuse:
-    """What one ``extract`` may reuse, worked out once per extractor.
-
-    An extractor's input digest for a document is the document's digest.
-    An ensemble's also covers the record digests of its members' current
-    records of the document, so a vote goes stale when a member redoes a
-    record, in this run or an earlier one.
-    """
-
-    def __init__(self, config: RunConfig, docs: Sequence[Document]):
-        self.config = config
-        self.digests = {doc.id: _document_digest(doc) for doc in docs}
-        self.specs = {spec.id: spec for spec in config.extractors}
-        self._stored: dict[str, _Stored] = {}
-
-    def stored(self, extractor_id: str) -> _Stored:
-        if extractor_id not in self._stored:
-            spec = self.specs[extractor_id]
-            inputs = self.digests
-            if spec.ensemble is not None:
-                members = [self.stored(member).entries for member in spec.ensemble.members]
-                inputs = {
-                    doc_id: _digest(digest, *(found[doc_id][1] for found in members))
-                    for doc_id, digest in self.digests.items()
-                    if all(doc_id in found for found in members)
-                }
-            self._stored[extractor_id] = _stored(self.config, extractor_id, inputs)
-        return self._stored[extractor_id]
-
-
-def _save(
-    path: Path,
-    offset: Optional[int],
-    lines: dict[str, bytes],
-    entries: dict[str, list[str]],
-    inputs: dict[str, str],
-    state_path: Path,
-    fingerprint: str,
-) -> dict[str, list[str]]:
-    """Append ``lines`` at ``offset``, after the committed lines of the
-    sidecar ``entries``, or, when ``offset`` is None, rewrite the file as
-    ``lines`` alone; then write the sidecar and return its entries.
-
-    Bytes past ``offset`` (an interrupted append) are cut first, and a failed
-    append is cut back to ``offset``. A line's entry is ``[inputs[id],
-    SHA-256 of the line]``.
-    """
-    if offset is not None:
-        try:
-            with open(path, "r+b") as fh:
-                fh.truncate(offset)
-                fh.seek(offset)
-                fh.writelines(lines.values())
-        except BaseException:
-            os.truncate(path, offset)
-            raise
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, lines.values())
-        entries = {}
-    for doc_id, line in lines.items():
-        entries[doc_id] = [inputs[doc_id], hashlib.sha256(line).hexdigest()]
-    state = {"fingerprint": fingerprint, "documents": entries}
-    state_path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(state_path, [json.dumps(state, separators=(",", ":")).encode("utf-8")])
-    return entries
-
-
 def _commit(
-    config: RunConfig,
-    extractor_id: str,
-    stored: _Stored,
-    new: Sequence[ExtractionRecord],
-    docs: Sequence[Document],
+    stored: state.Stored, new: Sequence[ExtractionRecord], docs: Sequence[Document]
 ) -> None:
     """Append the new records, or rewrite the file in corpus order, then its sidecar.
 
@@ -622,10 +406,7 @@ def _commit(
     if stored.offset is None:
         lines |= stored.lines
         lines = {doc.id: lines[doc.id] for doc in docs if doc.id in lines}
-    stored.entries = _save(
-        config.predictions_path(extractor_id), stored.offset, lines, stored.entries,
-        stored.inputs, config.state_path(extractor_id), config.fingerprints[extractor_id],
-    )
+    stored.save(lines)
 
 
 def _each(docs: Sequence[Document], extract) -> list[ExtractionRecord]:
@@ -643,7 +424,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     """Run every configured extractor over the corpus, resuming where possible.
 
     A record is reused only when the extractor's sidecar proves it current
-    (see ``_stored``); every other document is extracted. With nothing
+    (see ``state.stored``); every other document is extracted. With nothing
     stale and no document gone, the new records are appended; otherwise the
     file is rewritten in corpus order. Any per-document failure first
     commits the records finished before it. The transport is built only
@@ -652,7 +433,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     member's stored line only for documents those lack.
     """
     docs = load_corpus(config.corpus)
-    reuse = _Reuse(config, docs)
+    reuse = state.Reuse(config, docs)
     gazetteer = default_gazetteer()
     transport = None
 
@@ -686,7 +467,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
         # An appendable file with nothing to add or cut stays as it is.
         unchanged = stored.offset is not None and not stored.cut
         if new or (failure is None and not unchanged):
-            _commit(config, spec.id, stored, new, docs)
+            _commit(stored, new, docs)
         if failure is not None:
             raise failure if isinstance(failure.cause, TransportError) else failure.cause
         stored.records = {record.document_id: record for record in new}
@@ -694,7 +475,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
-def _voter(spec: ExtractorSpec, reuse: _Reuse):
+def _voter(spec: ExtractorSpec, reuse: state.Reuse):
     """Vote on one document from the members' current records.
 
     The ensemble can vote on a document only when each member has a record
@@ -729,18 +510,20 @@ def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
 
     When the sidecar vouches for every line of the predictions file, the
     keys are read from the stored tags without decoding any record. Any
-    other file (no sidecar or an unreadable one, a line that ``_vouched``
-    refuses, bytes past the committed lines) is decoded and validated in
-    full, so an edited line is still an input error naming the line.
+    other file (no sidecar or an unreadable one, a line that
+    ``state.vouched`` refuses, bytes past the committed lines) is decoded
+    and validated in full, so an edited line is still an input error
+    naming the line.
     """
     path = config.predictions_path(extractor_id)
     data = path.read_bytes()
-    if _wholly_vouched(data, config.state_path(extractor_id)) is not None:
+    vouched = state.wholly_vouched(data, config.state_path(extractor_id))
+    if vouched is not None:
         try:
-            return stored_keys(data)
+            return stored_keys(vouched[1])
         except (LookupError, TypeError, ValueError, AttributeError):
             pass  # not what epix writes: the full read below names the fault
-    return record_keys(_read_records(path, data))
+    return record_keys(state.read_records(path, data))
 
 
 def cmd_evaluate(config: RunConfig) -> int:

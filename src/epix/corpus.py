@@ -427,20 +427,19 @@ def json_line(item) -> bytes:
 _TAGS = tuple((name, row.tag) for name, row in FIELD_TABLE.items())
 
 
-def stored_keys(data: bytes) -> dict[str, tuple]:
+def stored_keys(lines: Iterable[bytes]) -> dict[str, tuple]:
     """The comparison keys, in FIELDS order and by document id, of the
-    ExtractionRecords in a JSON-lines file, read without decoding them.
+    ExtractionRecords on the lines of a JSON-lines file, read without
+    decoding the records.
 
     A field's key is its stored tag (``FIELD_TABLE[f].tag``): ``json_line``
-    writes ``FIELD_TABLE[f].key`` of the normalized value there. Only bytes
+    writes ``FIELD_TABLE[f].key`` of the normalized value there. Only lines
     that ``json_line`` wrote may be read this way; a line it could not have
     written raises LookupError, TypeError or ValueError.
     """
     keys: dict[str, tuple] = {}
-    for line in data.decode("utf-8").split("\n"):
-        if not line:
-            continue
-        record = json.loads(line)
+    for line in lines:
+        record = json.loads(line.decode("utf-8"))
         doc_id = record["document_id"]
         if doc_id in keys:
             raise ValueError(f"repeated document id {doc_id!r}")

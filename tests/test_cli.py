@@ -4,19 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epix import cli, llm
+from epix import cli, llm, state
 from epix.cli import load_run_config, main
 from epix.corpus import (
     Document, ExtractionRecord, GoldAnnotation, Source, json_line, load_corpus, save_corpus,
     save_gold,
 )
-from epix.errors import ConfigError
+from epix.errors import ConfigError, SchemaError
 from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
 
 
@@ -467,6 +468,21 @@ def _state_file(tmp_path, extractor_id):
     return tmp_path / "out" / "state" / f"{extractor_id}.json"
 
 
+def _journal(path):
+    """A journal's header and its rows, each line parsed on its own; every line is whole."""
+    data = path.read_bytes()
+    assert data.endswith(b"\n"), path
+    header, *rows = (json.loads(line) for line in data.split(b"\n")[:-1])
+    assert list(header) == ["fingerprint"] and all(len(row) == 3 for row in rows), path
+    return header, rows
+
+
+def _journal_bytes(header, rows):
+    return b"".join(
+        json.dumps(item, separators=(",", ":")).encode("utf-8") + b"\n" for item in [header, *rows]
+    )
+
+
 @pytest.mark.parametrize("whole", [0, 2], ids=["partial-line", "two-lines-and-a-partial"])
 def test_interrupted_append_is_cut_and_redone(tmp_path, whole):
     docs, config = _three_extractors(tmp_path)
@@ -518,7 +534,7 @@ def test_failed_append_is_cut_back_to_the_committed_bytes(tmp_path, monkeypatch,
         ext: (_predictions_file(tmp_path, ext).read_bytes(), _state_file(tmp_path, ext).read_bytes())
         for ext in _THREE
     }
-    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    monkeypatch.setattr(state, "open", _FullDisk, raising=False)
     assert main(["--config", str(config), "extract"]) == 2
     assert "No space left" in capsys.readouterr().err
     for ext in _THREE:
@@ -543,7 +559,7 @@ def test_failed_ingest_append_is_cut_back_to_the_committed_bytes(tmp_path, monke
     before = corpus.read_bytes(), sidecar.read_bytes()
     for name in ("c.txt", "d.txt"):
         (raw / name).write_text(_POST, encoding="utf-8")
-    monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    monkeypatch.setattr(state, "open", _FullDisk, raising=False)
     assert main([*ingest, str(corpus)]) == 2
     assert "No space left" in capsys.readouterr().err
     assert (corpus.read_bytes(), sidecar.read_bytes()) == before
@@ -553,14 +569,130 @@ def test_failed_ingest_append_is_cut_back_to_the_committed_bytes(tmp_path, monke
     assert corpus.read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
 
 
+def _full_disk_for_journals(path, mode):
+    """``open`` where a journal append runs out of space and a data file append does not."""
+    return _FullDisk(path, mode) if Path(path).suffix == ".json" else open(path, mode)
+
+
+def test_failed_journal_append_is_cut_back_with_its_predictions(tmp_path, monkeypatch, capsys):
+    docs, config = _three_extractors(tmp_path)
+    for doc_id in ("d9", "d10"):
+        _add_document(tmp_path, docs, doc_id)
+    before = {
+        ext: (_predictions_file(tmp_path, ext).read_bytes(), _state_file(tmp_path, ext).read_bytes())
+        for ext in _THREE
+    }
+    monkeypatch.setattr(state, "open", _full_disk_for_journals, raising=False)
+    assert main(["--config", str(config), "extract"]) == 2
+    assert "No space left" in capsys.readouterr().err
+    # The predictions append landed, then the journal append failed: both are cut back.
+    for ext in _THREE:
+        after = (_predictions_file(tmp_path, ext).read_bytes(), _state_file(tmp_path, ext).read_bytes())
+        assert after == before[ext], ext
+    monkeypatch.undo()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    for ext in _THREE:
+        # Only the batch that never committed is extracted again.
+        assert f"{ext}: 5 records (2 new)" in out, ext
+        assert _predictions(tmp_path, ext) == _predictions(tmp_path, ext, out="clean"), ext
+        assert _journal(_state_file(tmp_path, ext)) == _journal(
+            tmp_path / "clean" / "state" / f"{ext}.json"
+        ), ext
+
+
+def test_failed_ingest_journal_append_is_cut_back_with_the_corpus(tmp_path, monkeypatch, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    corpus = tmp_path / "corpus.jsonl"
+    sidecar = tmp_path / "corpus.jsonl.state.json"
+    ingest = ["ingest", "--source", "promed", str(raw), "--out"]
+    for name in ("a.txt", "b.txt"):
+        (raw / name).write_text(_POST, encoding="utf-8")
+    assert main([*ingest, str(corpus)]) == 0
+    before = corpus.read_bytes(), sidecar.read_bytes()
+    for name in ("c.txt", "d.txt"):
+        (raw / name).write_text(_POST, encoding="utf-8")
+    monkeypatch.setattr(state, "open", _full_disk_for_journals, raising=False)
+    assert main([*ingest, str(corpus)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert (corpus.read_bytes(), sidecar.read_bytes()) == before
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert main([*ingest, str(corpus)]) == 0
+    assert "(2 parsed)" in capsys.readouterr().out
+    assert main([*ingest, str(tmp_path / "clean.jsonl")]) == 0
+    assert corpus.read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+    assert sidecar.read_bytes() == (tmp_path / "clean.jsonl.state.json").read_bytes()
+
+
+@pytest.mark.parametrize("torn", [1, 2], ids=["last-row", "last-two-rows"])
+def test_torn_journal_tail_redoes_only_the_documents_past_the_cut(tmp_path, capsys, torn):
+    docs, config = _three_extractors(tmp_path)
+    for doc_id in ("d9", "d10"):
+        _add_document(tmp_path, docs, doc_id)
+    assert main(["--config", str(config), "extract"]) == 0
+    for ext in _THREE:
+        sidecar = _state_file(tmp_path, ext)
+        # Cut inside the row ``torn`` rows from the end, as a stopped journal append leaves it.
+        lines = sidecar.read_bytes().splitlines(keepends=True)
+        sidecar.write_bytes(b"".join(lines[: len(lines) - torn + 1])[:-7])
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    for ext in _THREE:
+        assert f"{ext}: 5 records ({torn} new)" in out, ext
+        assert _predictions_file(tmp_path, ext).read_bytes() == (
+            tmp_path / "clean" / "predictions" / f"{ext}.jsonl"
+        ).read_bytes(), ext
+        assert _journal(_state_file(tmp_path, ext)) == _journal(
+            tmp_path / "clean" / "state" / f"{ext}.json"
+        ), ext
+
+
+def test_predictions_appended_without_their_journal_rows_are_read_in_full_and_redone(
+    tmp_path, monkeypatch, capsys
+):
+    docs, config = _three_extractors(tmp_path)
+    journals = {ext: _state_file(tmp_path, ext).read_bytes() for ext in _THREE}
+    for doc_id in ("d9", "d10"):
+        _add_document(tmp_path, docs, doc_id)
+    assert main(["--config", str(config), "extract"]) == 0
+    # As a kill between the two appends leaves it: the journal as it was before.
+    for ext in _THREE:
+        _state_file(tmp_path, ext).write_bytes(journals[ext])
+    calls = _count_codec_calls(monkeypatch)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    # Every line of each file goes through the full read; only d9 and d10 are redone.
+    assert calls == Counter(decode=5 * len(_THREE), encode=2 * len(_THREE))
+    monkeypatch.undo()
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    for ext in _THREE:
+        assert f"{ext}: 5 records (2 new)" in out, ext
+        assert _predictions(tmp_path, ext) == _predictions(tmp_path, ext, out="clean"), ext
+        assert _journal(_state_file(tmp_path, ext)) == _journal(
+            tmp_path / "clean" / "state" / f"{ext}.json"
+        ), ext
+
+
+def test_journal_that_repeats_a_document_id_exits_2_naming_it(tmp_path, capsys):
+    _, config = _three_extractors(tmp_path)
+    sidecar = _state_file(tmp_path, "m")
+    header, rows = _journal(sidecar)
+    sidecar.write_bytes(_journal_bytes(header, [*rows, rows[0]]))
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert str(sidecar) in err and "unreadable resume state" in err and repr(rows[0][0]) in err
+
+
 def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
     _, config = _three_extractors(tmp_path)
-
-    def no_write(path, *args):
-        raise AssertionError(f"wrote {path}")
-
-    monkeypatch.setattr(cli, "write_atomic", no_write)
-    monkeypatch.setattr(cli, "open", no_write, raising=False)
+    _no_writes(monkeypatch)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     out = capsys.readouterr().out
@@ -789,16 +921,16 @@ def test_resume_after_one_changed_body_decodes_no_record_and_encodes_one_per_ext
             assert resumed.read_bytes() == clean.read_bytes(), name
 
 
-def _swap_order(documents):
-    """The first two entries in each other's place, each still under its own id."""
-    (a, first), (b, second), *rest = documents.items()
-    return {b: second, a: first, **dict(rest)}
+def _swap_order(rows):
+    """The first two rows in each other's place, each still under its own id."""
+    first, second, *rest = rows
+    return [second, first, *rest]
 
 
-def _swap_values(documents):
+def _swap_values(rows):
     """Each of the first two ids holding the other's entry."""
-    (a, first), (b, second), *rest = documents.items()
-    return {a: second, b: first, **dict(rest)}
+    (a, *first), (b, *second), *rest = rows
+    return [[a, *second], [b, *first], *rest]
 
 
 @pytest.mark.parametrize("swap", [_swap_order, _swap_values], ids=["order", "values"])
@@ -807,9 +939,8 @@ def test_swapped_sidecar_entries_attribute_no_record_to_another_document(tmp_pat
     assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
     for ext in _THREE:
         sidecar = _state_file(tmp_path, ext)
-        state = json.loads(sidecar.read_bytes())
-        state["documents"] = swap(state["documents"])
-        sidecar.write_text(json.dumps(state, separators=(",", ":")), encoding="utf-8")
+        header, rows = _journal(sidecar)
+        sidecar.write_bytes(_journal_bytes(header, swap(rows)))
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     out = capsys.readouterr().out
@@ -826,25 +957,33 @@ def _no_write(path, *args):
     raise AssertionError(f"wrote {path}")
 
 
-def test_sidecar_with_the_old_length_and_sha256_keys_is_still_vouched(
-    tmp_path, monkeypatch, capsys
-):
+def _no_writes(monkeypatch):
+    """Fail any write of a data file, a sidecar or a report."""
+    for module in (state, cli):
+        monkeypatch.setattr(module, "write_atomic", _no_write)
+    monkeypatch.setattr(state, "open", _no_write, raising=False)
+
+
+def _old_sidecar(sidecar, data, four_keys):
+    """A journal in the one-object form older versions wrote: its fingerprint
+    and documents, and in the four-key form the whole ``data``'s length and SHA-256."""
+    header, rows = _journal(sidecar)
+    old = dict(header)
+    if four_keys:
+        old |= {"length": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    old["documents"] = {doc_id: entry for doc_id, *entry in rows}
+    return json.dumps(old, separators=(",", ":")).encode("utf-8")
+
+
+def _assert_old_sidecars_vouch_then_become_journals(tmp_path, monkeypatch, capsys, four_keys):
     docs, config = _three_extractors(tmp_path)
+    journals = {}
     for ext in _THREE:
         sidecar = _state_file(tmp_path, ext)
-        state = json.loads(sidecar.read_bytes())
-        assert sorted(state) == ["documents", "fingerprint"], ext
-        # The form older versions wrote: the whole file's length and SHA-256 too.
+        journals[ext] = _journal(sidecar)
         data = _predictions_file(tmp_path, ext).read_bytes()
-        old = {
-            "fingerprint": state["fingerprint"],
-            "length": len(data),
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "documents": state["documents"],
-        }
-        sidecar.write_text(json.dumps(old, separators=(",", ":")), encoding="utf-8")
-    monkeypatch.setattr(cli, "write_atomic", _no_write)
-    monkeypatch.setattr(cli, "open", _no_write, raising=False)
+        sidecar.write_bytes(_old_sidecar(sidecar, data, four_keys))
+    _no_writes(monkeypatch)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     out = capsys.readouterr().out
@@ -854,13 +993,29 @@ def test_sidecar_with_the_old_length_and_sha256_keys_is_still_vouched(
     calls = _count_codec_calls(monkeypatch)
     assert main(["--config", str(config), "evaluate"]) == 0
     assert calls["decode"] == 0
-    # An append writes the sidecar afresh, without the old keys.
+    # The first append rewrites the sidecar as a journal; a later one adds its rows.
     _add_document(tmp_path, docs)
     assert main(["--config", str(config), "extract"]) == 0
     for ext in _THREE:
-        assert sorted(json.loads(_state_file(tmp_path, ext).read_bytes())) == [
-            "documents", "fingerprint"
-        ], ext
+        header, rows = _journal(_state_file(tmp_path, ext))
+        assert header == journals[ext][0] and rows[:3] == journals[ext][1], ext
+        assert [row[0] for row in rows] == ["d0", "d1", "d2", "d9"], ext
+    before = {ext: _state_file(tmp_path, ext).read_bytes() for ext in _THREE}
+    _add_document(tmp_path, docs, "d10")
+    assert main(["--config", str(config), "extract"]) == 0
+    for ext in _THREE:
+        after = _state_file(tmp_path, ext).read_bytes()
+        assert after.startswith(before[ext]) and after.count(b"\n") == 6, ext
+
+
+def test_sidecar_with_the_old_length_and_sha256_keys_is_still_vouched(
+    tmp_path, monkeypatch, capsys
+):
+    _assert_old_sidecars_vouch_then_become_journals(tmp_path, monkeypatch, capsys, True)
+
+
+def test_one_object_sidecar_is_still_vouched_and_becomes_a_journal(tmp_path, monkeypatch, capsys):
+    _assert_old_sidecars_vouch_then_become_journals(tmp_path, monkeypatch, capsys, False)
 
 
 def _whole_file_vouched(data, state):
@@ -946,7 +1101,7 @@ _EDITS = [
 def test_line_digests_vouch_exactly_when_the_whole_file_digest_did(data):
     lines = [_note(i) for i in range(data.draw(st.integers(0, 4)))]
     committed = b"".join(lines)
-    state = {
+    sidecar = {
         "fingerprint": "f",
         "length": len(committed),
         "sha256": hashlib.sha256(committed).hexdigest(),
@@ -957,11 +1112,53 @@ def test_line_digests_vouch_exactly_when_the_whole_file_digest_did(data):
     edited = committed
     for edit in data.draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
         edited = edit(data.draw, edited)
-    vouched = cli._vouched(edited, state["documents"])
+    vouched = state.vouched(edited, sidecar["documents"])
     tail = None if vouched is None else edited[sum(map(len, vouched)) :]
-    assert (vouched is not None, tail) == _whole_file_vouched(edited, state)
+    assert (vouched is not None, tail) == _whole_file_vouched(edited, sidecar)
     if vouched is not None:
         assert b"".join(vouched) == committed
+
+
+def _verdict(data, sidecar_path):
+    """What the sidecar file says of ``data``: that it cannot be read, or
+    whether it vouches and, when it does, the bytes after the committed lines."""
+    try:
+        found = state.read_state(sidecar_path)
+    except SchemaError:
+        return "unreadable"
+    vouched = state.vouched(data, found.documents)
+    return vouched is not None, None if vouched is None else data[sum(map(len, vouched)) :]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_journal_vouches_exactly_as_the_one_object_sidecar(data):
+    lines = {f"d{i}": _note(i) for i in range(data.draw(st.integers(0, 4)))}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        written = state.Stored(tmp / "p.jsonl", tmp / "p.json", "f", dict.fromkeys(lines, "input"))
+        written.save(lines)
+        committed, journal = written.path.read_bytes(), written.state_path.read_bytes()
+        edited = committed
+        for edit in data.draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+            edited = edit(data.draw, edited)
+        # A journal cut at any byte holds the rows on its whole lines after the header.
+        cut = journal[: data.draw(st.integers(0, len(journal)))]
+        written.state_path.write_bytes(cut)
+        rows = cut.count(b"\n") - 1
+        if rows < 0:
+            expected = "unreadable"
+        else:
+            kept = dict(list(written.entries.items())[:rows])
+            one_object = {"fingerprint": "f", "documents": kept}
+            (tmp / "one.json").write_text(json.dumps(one_object), encoding="utf-8")
+            expected = _verdict(edited, tmp / "one.json")
+            assert state.read_state(written.state_path).length == cut.rfind(b"\n") + 1
+        if rows == len(lines):
+            sha256 = hashlib.sha256(committed).hexdigest()
+            four_keys = {**one_object, "length": len(committed), "sha256": sha256}
+            assert expected == _whole_file_vouched(edited, four_keys)
+        assert _verdict(edited, written.state_path) == expected
 
 
 def test_loading_a_config_does_not_import_requests(tmp_path):

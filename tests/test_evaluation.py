@@ -226,7 +226,7 @@ def test_evaluate_equals_a_classify_pair_loop(data, mode):
             assert accumulate_confusion(golds, preds, field, mode) == expected
     # The same tally from the keys stored in predictions files.
     stored = {
-        extractor: stored_keys(b"".join(map(json_line, preds)))
+        extractor: stored_keys(b"".join(map(json_line, preds)).splitlines(keepends=True))
         for extractor, preds in records.items()
     }
     assert stored == {extractor: record_keys(preds) for extractor, preds in records.items()}
@@ -271,7 +271,7 @@ def _records(draw):
 
 @given(st.lists(_records(), max_size=4, unique_by=lambda record: record.document_id))
 def test_stored_tag_is_the_comparison_key_of_the_decoded_value(records):
-    keys = stored_keys(b"".join(map(json_line, records)))
+    keys = stored_keys(b"".join(map(json_line, records)).splitlines(keepends=True))
     assert list(keys) == [record.document_id for record in records]
     for record in records:
         decoded = ExtractionRecord.from_json(json.loads(json_line(record)))

@@ -1,6 +1,8 @@
 """Incremental ``epix ingest``: a re-ingest parses only new or changed raw
 files, and the corpus it leaves is byte-identical to a fresh full ingest's."""
 
+import hashlib
+import json
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epix import cli
+from epix import cli, state
 from epix.cli import main
 from epix.corpus import write_atomic
 
@@ -114,6 +116,13 @@ def _drop_sidecar(raw, corpus):
     _sidecar(corpus).unlink(missing_ok=True)
 
 
+def _torn_sidecar(raw, corpus, cut):
+    """What a journal append stopped part-way leaves (or, cut deeper, damage)."""
+    sidecar = _sidecar(corpus)
+    if sidecar.exists():
+        sidecar.write_bytes(sidecar.read_bytes()[:-cut])
+
+
 _name = st.integers(0, len(NAMES) - 1)
 _STEPS = st.one_of(
     st.tuples(st.just(_put), _name, st.integers(0, len(BODIES) - 1)),
@@ -123,6 +132,7 @@ _STEPS = st.one_of(
     st.tuples(st.just(_hand_edit), st.integers(0, 9)),
     st.tuples(st.just(_whole_line_added), st.integers(0, 9)),
     st.tuples(st.just(_drop_sidecar)),
+    st.tuples(st.just(_torn_sidecar), st.integers(1, 300)),
 )
 
 
@@ -156,6 +166,8 @@ def test_scripted_edits_keep_the_corpus_equal_to_a_full_ingest(tmp_path, source,
         lambda: _whole_line_added(raw, corpus, 0),
         lambda: (raw / "z.txt").write_bytes(BODIES[2].replace(b"\r", b"\r\n")),
         lambda: _drop_sidecar(raw, corpus),
+        lambda: _put(raw, corpus, NAMES.index("z.txt"), 0),
+        lambda: _torn_sidecar(raw, corpus, 9),
     ]
     for i, step in enumerate(steps):
         step()
@@ -183,18 +195,18 @@ def test_reingest_parses_only_the_new_files_and_appends_them(tmp_path, monkeypat
     assert _ingest(source, raw, corpus) == 0
     assert sum(parsed.values()) == 3
     parser = "parse_promed_post" if source == "promed" else "parse_don_article"
-    opened, replaced = Counter(), []
+    opened, replaced = [], []
 
     def spy_open(path, mode="r", *args):
-        opened[mode] += 1
+        opened.append((Path(path).name, mode))
         return open(path, mode, *args)
 
     def spy_write(path, chunks):
         replaced.append(Path(path).name)
         return write_atomic(path, chunks)
 
-    monkeypatch.setattr(cli, "open", spy_open, raising=False)
-    monkeypatch.setattr(cli, "write_atomic", spy_write)
+    monkeypatch.setattr(state, "open", spy_open, raising=False)
+    monkeypatch.setattr(state, "write_atomic", spy_write)
     for names in (["d.txt"], ["e.txt", "f.txt"]):
         for name in names:
             (raw / name).write_bytes(BODIES[4])
@@ -204,16 +216,50 @@ def test_reingest_parses_only_the_new_files_and_appends_them(tmp_path, monkeypat
         replaced.clear()
         assert _ingest(source, raw, corpus) == 0
         assert parsed == Counter({parser: len(names)})
-        # Appended after the kept bytes; only the sidecar is replaced.
-        assert opened == Counter({"r+b": 1}) and replaced == ["corpus.jsonl.state.json"]
+        # Appended after the kept bytes, then the journal after its rows; nothing is replaced.
+        assert opened == [("corpus.jsonl", "r+b"), ("corpus.jsonl.state.json", "r+b")]
+        assert replaced == []
         assert corpus.read_bytes().startswith(before)
-    monkeypatch.setattr(cli, "open", _no_write, raising=False)
-    monkeypatch.setattr(cli, "write_atomic", _no_write)
+    monkeypatch.setattr(state, "open", _no_write, raising=False)
+    monkeypatch.setattr(state, "write_atomic", _no_write)
     parsed.clear()
     assert _ingest(source, raw, corpus) == 0
     assert not parsed
     monkeypatch.undo()
     assert corpus.read_bytes() == _fresh(source, raw, tmp_path)
+
+
+@pytest.mark.parametrize("four_keys", [False, True], ids=["two-key", "four-key"])
+def test_old_one_object_sidecar_is_vouched_then_becomes_a_journal(tmp_path, monkeypatch, four_keys):
+    raw = _raw_dir(tmp_path, ["a.txt", "b.txt", "c.txt"])
+    corpus = tmp_path / "corpus.jsonl"
+    assert _ingest("promed", raw, corpus) == 0
+    journal = _sidecar(corpus).read_bytes()
+    header, *rows = (json.loads(line) for line in journal.splitlines())
+    # The one JSON object older versions wrote, with or without the whole file's length and SHA-256.
+    old = dict(header)
+    if four_keys:
+        data = corpus.read_bytes()
+        old |= {"length": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    old["documents"] = {doc_id: entry for doc_id, *entry in rows}
+    _sidecar(corpus).write_text(json.dumps(old, separators=(",", ":")), encoding="utf-8")
+    parsed = _count_parses(monkeypatch)
+    monkeypatch.setattr(state, "open", _no_write, raising=False)
+    monkeypatch.setattr(state, "write_atomic", _no_write)
+    assert _ingest("promed", raw, corpus) == 0
+    assert not parsed
+    monkeypatch.undo()
+    # The first append rewrites the sidecar as a journal; a later one appends its rows.
+    (raw / "d.txt").write_bytes(BODIES[1])
+    assert _ingest("promed", raw, corpus) == 0
+    upgraded = _sidecar(corpus).read_bytes()
+    assert upgraded.startswith(journal) and upgraded.count(b"\n") == 5
+    (raw / "e.txt").write_bytes(BODIES[2])
+    assert _ingest("promed", raw, corpus) == 0
+    after = _sidecar(corpus).read_bytes()
+    assert after.startswith(upgraded) and after.count(b"\n") == 6
+    assert corpus.read_bytes() == _fresh("promed", raw, tmp_path)
+    assert after == _sidecar(tmp_path / "fresh.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("source", SOURCES)
