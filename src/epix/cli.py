@@ -136,18 +136,18 @@ def _ids(section: dict, name: str, default: list[str]) -> tuple[str, ...]:
 
 
 def _checked(value, name: str, kind: type):
-    """``value``, the config value ``name``, checked to be a JSON object or list (``kind``)."""
+    """``value``, the config value ``name``, checked to be a JSON object, list or string."""
     if not isinstance(value, kind):
-        expected = "a JSON object" if kind is dict else "a JSON list"
+        expected = {dict: "a JSON object", list: "a JSON list", str: "a JSON string"}[kind]
         raise ConfigError(f"{name} must be {expected}, got {value!r}")
     return value
 
 
 def _parse_policy(data: dict, members: Sequence[str]) -> VotePolicy:
-    tie_break = TieBreak(data.get("tie_break", "priority_order").upper())
+    tie_break = _checked(data.get("tie_break", "priority_order"), "policy.tie_break", str)
     return VotePolicy(
         min_agreement=_number(data, "policy.min_agreement", 2, integer=True, minimum=1),
-        tie_break=tie_break,
+        tie_break=TieBreak(tie_break.upper()),
         priority=_ids(data, "policy.priority", list(members)),
     )
 
@@ -190,7 +190,7 @@ def _parse_run_config(data) -> RunConfig:
             model = entry.get("model")
             if not model:
                 raise ConfigError(f"extractor {extractor_id!r}: llm kind needs a model")
-            profile = registry.get(model)
+            profile = registry.get(_checked(model, f"extractors[{i}].model", str))
             if profile is None:
                 raise ConfigError(f"extractor {extractor_id!r}: unknown model profile {model!r}")
             try:
@@ -222,13 +222,13 @@ def _parse_run_config(data) -> RunConfig:
     cache_dir = transport.get("cache_dir")
     sampling = _checked(data.get("sampling", {}), "sampling", dict)
     config = RunConfig(
-        corpus=Path(data["corpus"]),
-        gold=Path(data["gold"]) if data.get("gold") else None,
-        output_dir=Path(data.get("output_dir", "out")),
+        corpus=Path(_checked(data["corpus"], "corpus", str)),
+        gold=Path(_checked(data["gold"], "gold", str)) if data.get("gold") else None,
+        output_dir=Path(_checked(data.get("output_dir", "out"), "output_dir", str)),
         extractors=extractors,
         match_mode=MatchMode(str(data.get("match_mode", "strict_value")).upper()),
         transport_mode=mode,
-        cache_dir=Path(cache_dir) if cache_dir else None,
+        cache_dir=Path(_checked(cache_dir, "transport.cache_dir", str)) if cache_dir else None,
         max_attempts=_number(transport, "transport.max_attempts", 3, integer=True, minimum=1),
         backoff_base=_number(transport, "transport.backoff_base", 0.5, integer=False, minimum=0),
         concurrency=_number(data, "concurrency", 4, integer=True, minimum=1),
@@ -344,18 +344,19 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
     raw file and of its corpus line, under a fingerprint of ``source`` and
     the ingest code (see ``state.committed``). When the sidecar vouches
     for every byte of the corpus and its fingerprint matches, a document
-    whose raw bytes are unchanged keeps its line, copied as bytes. New
-    documents that sort after every kept one are appended, and so are their
-    sidecar rows; any other change rewrites the corpus in file-name order,
-    and with nothing changed neither file is written. Either way the corpus
-    is byte-identical to a full ingest's.
+    whose raw bytes are unchanged keeps its line, copied as bytes, and
+    ``state.Stored.save`` appends, rewrites in file-name order or leaves
+    the corpus as it is. Either way the corpus is byte-identical to a full
+    ingest's.
 
     An empty raw file, two raw files with one id (``a.txt`` and
-    ``a.html``), or an ``out_path`` in the input directory, which a later
-    ingest would read as a raw file, is an input error naming them, and
-    nothing is written.
+    ``a.html``), an ``out_path`` that is the raw input file, or one in the
+    input directory, which a later ingest would read as a raw file, is an
+    input error naming them, and nothing is written.
     """
     files = [input_path]
+    if out_path.resolve() == input_path.resolve():
+        raise ConfigError(f"--out {out_path} is the raw input file {input_path}")
     if input_path.is_dir():
         if out_path.parent.resolve() == input_path.resolve():
             raise ConfigError(
@@ -371,42 +372,18 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
 
     state_path = out_path.with_name(out_path.name + ".state.json")
     fingerprint = state.digest(source, ingest_source_digest())
-    stored = state.committed(out_path, state_path, fingerprint)
-    lines: dict[str, bytes] = {}
+    stored = state.committed(out_path, state_path, fingerprint, by_stem)
     new: dict[str, bytes] = {}
     for stem, file in by_stem.items():
         raw = file.read_bytes()
         stored.inputs[stem] = hashlib.sha256(raw).hexdigest()
-        if stem in stored.lines and stored.entries[stem][0] == stored.inputs[stem]:
-            lines[stem] = stored.lines[stem]
-        else:
-            lines[stem] = new[stem] = _corpus_line(source, file, raw)
-    # Append only when every committed line stays, in order, before the new ones.
-    if stored.offset is not None and list(lines) == [*stored.entries, *new]:
-        written = new
-    else:
-        stored.offset, written = None, lines
-    if stored.offset is None or written:
-        stored.save(written)
-    if not lines:
+        if stem not in stored.entries or stored.entries[stem][0] != stored.inputs[stem]:
+            new[stem] = _corpus_line(source, file, raw)
+    stored.save(new, by_stem)
+    if not by_stem:
         print("warning: no input files found", file=sys.stderr)
-    print(f"ingested {len(lines)} documents ({len(new)} parsed) into {out_path}")
+    print(f"ingested {len(by_stem)} documents ({len(new)} parsed) into {out_path}")
     return EXIT_OK
-
-
-def _commit(
-    stored: state.Stored, new: Sequence[ExtractionRecord], docs: Sequence[Document]
-) -> None:
-    """Append the new records, or rewrite the file in corpus order, then its sidecar.
-
-    A rewrite copies the kept lines as they are. ``stored.entries`` then
-    holds the sidecar's entries.
-    """
-    lines = {record.document_id: json_line(record) for record in new}
-    if stored.offset is None:
-        lines |= stored.lines
-        lines = {doc.id: lines[doc.id] for doc in docs if doc.id in lines}
-    stored.save(lines)
 
 
 def _each(docs: Sequence[Document], extract) -> list[ExtractionRecord]:
@@ -424,16 +401,17 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     """Run every configured extractor over the corpus, resuming where possible.
 
     A record is reused only when the extractor's sidecar proves it current
-    (see ``state.stored``); every other document is extracted. With nothing
-    stale and no document gone, the new records are appended; otherwise the
-    file is rewritten in corpus order. Any per-document failure first
-    commits the records finished before it. The transport is built only
-    when a model extractor runs, so rule-based runs need no cache. An
+    (see ``state.stored``); every other document is extracted, and
+    ``state.Stored.save`` commits the new records, appended or rewritten in
+    corpus order. Any per-document failure first commits the records
+    finished before it. The transport is built only when a model
+    extractor runs, so rule-based runs need no cache. An
     ensemble votes from its members' records of this run, and decodes a
     member's stored line only for documents those lack.
     """
     docs = load_corpus(config.corpus)
     reuse = state.Reuse(config, docs)
+    order = [doc.id for doc in docs]
     gazetteer = default_gazetteer()
     transport = None
 
@@ -464,10 +442,8 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
                 new = _each(missing, _voter(spec, reuse))
         except ExtractionFailed as exc:
             new, failure = exc.partial_records, exc
-        # An appendable file with nothing to add or cut stays as it is.
-        unchanged = stored.offset is not None and not stored.cut
-        if new or (failure is None and not unchanged):
-            _commit(stored, new, docs)
+        if new or failure is None:
+            stored.save({record.document_id: json_line(record) for record in new}, order)
         if failure is not None:
             raise failure if isinstance(failure.cause, TransportError) else failure.cause
         stored.records = {record.document_id: record for record in new}

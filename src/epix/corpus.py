@@ -14,7 +14,6 @@ import json
 import os
 import re
 from dataclasses import dataclass, replace
-from datetime import date
 from enum import Enum
 from html.parser import HTMLParser
 from operator import attrgetter
@@ -29,6 +28,7 @@ from .normalize import (
     CaseCount,
     CountryCode,
     IsoDate,
+    iso_date,
     normalize_date,
 )
 
@@ -76,7 +76,7 @@ class Document:
         published = record.get("published")
         if published is not None:
             try:
-                published = date.fromisoformat(published)
+                published = iso_date(published)
             except (TypeError, ValueError):
                 raise SchemaError(f"invalid published date {published!r}") from None
         title = record.get("title")
@@ -123,8 +123,8 @@ class GoldAnnotation:
 @dataclass(frozen=True)
 class ExtractionRecord:
     """What one extractor found in one document: per field, the raw string
-    and its normalized value; ``field_warnings`` lists raw strings that
-    defeated normalization."""
+    and its normalized value; ``field_warnings`` names the fields whose raw
+    string defeated normalization."""
 
     document_id: str
     extractor_id: str
@@ -177,7 +177,9 @@ class ExtractionRecord:
         for name, row in FIELD_TABLE.items():
             obj = record.get(name)
             if obj is not None:
-                values[f"{name}_raw"] = obj.get("raw")
+                values[f"{name}_raw"] = raw = obj.get("raw")
+                if raw is not None and type(raw) is not str:
+                    raise SchemaError(f"{name}: raw must be a string or null")
                 values[name] = row.decode(obj) if row.tag in obj else None
                 # A null tag would make a value whose comparison key reads as absent.
                 if values[name] is not None and obj[row.tag] is None:
@@ -186,11 +188,18 @@ class ExtractionRecord:
         if not all(isinstance(i, str) and i for i in ids):
             raise SchemaError("a record needs a document_id and an extractor_id")
         flags = record.get("flags", {})
+        parse_failure = flags.get("parse_failure", False)
+        truncated_input = flags.get("truncated_input", False)
+        warnings = flags.get("field_warnings", [])
+        if type(parse_failure) is not bool or type(truncated_input) is not bool:
+            raise SchemaError("flags parse_failure and truncated_input must be booleans")
+        if type(warnings) is not list or not all(type(w) is str for w in warnings):
+            raise SchemaError("flags field_warnings must be a list of strings")
         return ExtractionRecord(
             *ids,
-            parse_failure=flags.get("parse_failure", False),
-            truncated_input=flags.get("truncated_input", False),
-            field_warnings=tuple(flags.get("field_warnings", ())),
+            parse_failure=parse_failure,
+            truncated_input=truncated_input,
+            field_warnings=tuple(warnings),
             **values,
         )
 
@@ -478,7 +487,7 @@ def _gold_from_json(record: Mapping) -> GoldAnnotation:
             raise SchemaError(f"{key} must be null or a non-empty string")
     gold_date = record.get("date")
     if gold_date is not None:
-        gold_date = date.fromisoformat(gold_date)
+        gold_date = iso_date(gold_date)
     count = record.get("count")
     if count is not None and (isinstance(count, bool) or not isinstance(count, int) or count < 0):
         raise SchemaError("count must be null or a non-negative integer")

@@ -130,6 +130,15 @@ def resolve_date_match(match: re.Match, default_year: int | None = None) -> Opti
     return _safe_date(year, month, day)
 
 
+def iso_date(text: str) -> IsoDate:
+    """A stored date, which is ``YYYY-MM-DD`` and nothing else, read alike on
+    every supported Python (3.11's ``date.fromisoformat`` also takes
+    ``20190503`` and ``2019-W18-5``, 3.10's does not); else a ValueError."""
+    if not (isinstance(text, str) and re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text)):
+        raise ValueError(f"a date must be YYYY-MM-DD, got {text!r}")
+    return date.fromisoformat(text)
+
+
 def normalize_date(raw: str, default_year: int | None = None) -> Optional[IsoDate]:
     """Parse one date expression; None for anything unrecognized.
 
@@ -366,7 +375,7 @@ FIELD_TABLE = {row.name: row for row in (
         key=lambda v: v.isoformat(),
         tag="iso",
         encode=lambda v: {"iso": v.isoformat()},
-        decode=lambda o: date.fromisoformat(o["iso"]),
+        decode=lambda o: iso_date(o["iso"]),
     ),
     Field(
         "count", ("cases", "count"), lambda raw, _gazetteer: parse_count_expression(raw),

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quoted
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .corpus import Document, ExtractionRecord, json_line, read_jsonl, write_atomic
 from .errors import SchemaError
@@ -153,12 +153,11 @@ class Stored:
     digest of each document that may be written now. ``lines`` holds each
     reusable line by document id, and ``entries`` the sidecar entry,
     ``[input digest, record digest]``, of each line the sidecar vouches
-    for; after ``save`` they are the new sidecar's. ``offset`` is where new
-    lines are appended, or None when the file must be rewritten, and
-    ``cut`` says that an interrupted append left bytes there. ``journal``
-    is the length of the sidecar's whole lines when new rows may be
-    appended after them, else None. ``records`` holds the records this run
-    made.
+    for; after ``save`` they are the new sidecar's. ``offset`` and
+    ``journal`` are where new lines and their rows may be appended, after
+    the committed ones, else None, and ``cut`` says that an interrupted
+    append left bytes past ``offset``. ``records`` holds the records this
+    run made.
     """
 
     path: Path
@@ -172,24 +171,30 @@ class Stored:
     cut: bool = False
     records: dict[str, ExtractionRecord] = field(default_factory=dict)
 
-    def save(self, lines: dict[str, bytes]) -> None:
-        """Append ``lines`` at ``offset``, after the committed lines, or,
-        when ``offset`` is None, rewrite the file as ``lines`` alone; then
-        append their rows to the journal, or rewrite it whole.
+    def save(self, new: dict[str, bytes], order: Iterable[str]) -> None:
+        """Commit the ``new`` lines, by document id, and their sidecar rows.
 
-        Bytes past ``offset`` (an interrupted append) are cut first. A failed
-        append is cut back to ``offset``, and a failed journal write cuts the
-        journal back to its committed rows and the data file to ``offset``,
-        so both stay as they were. A line's entry is ``[inputs[id], SHA-256
-        of the line]``.
+        With an append point (``offset``) and no committed id among ``new``,
+        they are appended after the committed lines, cutting the bytes of an
+        interrupted append, and their rows after the journal's; with nothing
+        new and nothing to cut, neither file is written. Otherwise both are
+        rewritten, the data file as the kept ``lines`` and ``new`` of the ids
+        in ``order``. A failed append is cut back to ``offset``; a failed
+        journal write cuts both files back, so both stay as they were. A
+        line's entry is ``[inputs[id], SHA-256 of the line]``.
         """
-        if self.offset is None:
+        offset = self.offset if new.keys().isdisjoint(self.entries) else None
+        if offset is None:
+            kept = self.lines | new
+            new = {d: kept[d] for d in order if d in kept}
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(self.path, lines.values())
+            write_atomic(self.path, new.values())
             self.entries, self.journal = {}, None
+        elif new or self.cut:
+            _append(self.path, offset, new.values())
         else:
-            _append(self.path, self.offset, lines.values())
-        new = {d: [self.inputs[d], hashlib.sha256(line).hexdigest()] for d, line in lines.items()}
+            return
+        new = {d: [self.inputs[d], hashlib.sha256(line).hexdigest()] for d, line in new.items()}
         self.entries |= new
         try:
             if self.journal is None:
@@ -200,8 +205,8 @@ class Stored:
             else:
                 _append(self.state_path, self.journal, map(_row, new, new.values()))
         except BaseException:
-            if self.offset is not None:
-                os.truncate(self.path, self.offset)
+            if offset is not None:
+                os.truncate(self.path, offset)
             raise
 
 
@@ -213,10 +218,10 @@ def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str
     those lines are the committed bytes. A vouched line is reused as it is
     when the sidecar's fingerprint is ``fingerprint`` and the input digest
     of the line's document is unchanged. Bytes the sidecar does not vouch
-    for are read in full, so an input error names its line: a file whose
-    lines fail that check, whole lines after the committed bytes (added by
-    hand, or appended while the journal append was not), and a file without
-    a sidecar, whose records are all adopted. Other bytes after the
+    for are read in full, so an input error names its line: a file without
+    a sidecar, whose records are all adopted, a file whose lines fail that
+    check, and whole lines after the committed bytes (added by hand, or
+    appended while the journal append was not). Other bytes after the
     committed ones are what an interrupted append leaves, and are cut.
     Appending is safe when every committed record is reused.
     """
@@ -225,18 +230,15 @@ def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str
         return found
     data = path.read_bytes()
     state = read_state(state_path)
-    if state is None:
-        adopted = {r.document_id: r for r in read_records(path, data)}
-        found.lines = {d: json_line(r) for d, r in adopted.items() if d in inputs}
-        return found
-    lines = vouched(data, state.documents)
-    if lines is None:
-        read_records(path, data)
-        return found
-    length = sum(map(len, lines))
+    lines = None if state is None else vouched(data, state.documents)
+    length = 0 if lines is None else sum(map(len, lines))
     tail = data[length:]
-    if tail.endswith(b"\n"):
-        read_records(path, data)
+    if lines is None or tail.endswith(b"\n"):
+        records = read_records(path, data)
+        if state is None:
+            found.lines = {r.document_id: json_line(r) for r in records if r.document_id in inputs}
+        if lines is None:
+            return found
     found.cut = bool(tail)
     if state.fingerprint == fingerprint:
         found.journal = state.length
@@ -248,10 +250,12 @@ def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str
     return found
 
 
-def committed(path: Path, state_path: Path, fingerprint: str) -> Stored:
+def committed(path: Path, state_path: Path, fingerprint: str, order: Iterable[str]) -> Stored:
     """A data file whose sidecar holds ``fingerprint`` and vouches for every
     byte of it (see ``wholly_vouched``), with every committed line by
-    document id; otherwise nothing, to be rewritten whole."""
+    document id; otherwise nothing, to be rewritten whole. Lines may be
+    appended only when the committed ids come first in ``order``, as a full
+    write would put them."""
     found = Stored(path, state_path, fingerprint, {})
     try:
         data = path.read_bytes()
@@ -261,7 +265,8 @@ def committed(path: Path, state_path: Path, fingerprint: str) -> Stored:
     if vouch is not None and vouch[0].fingerprint == fingerprint:
         state, lines = vouch
         found.lines, found.entries = dict(zip(state.documents, lines)), state.documents
-        found.offset, found.journal = len(data), state.length
+        if list(order)[: len(lines)] == list(state.documents):
+            found.offset, found.journal = len(data), state.length
     return found
 
 

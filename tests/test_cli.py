@@ -312,6 +312,38 @@ def test_hand_edited_value_exits_2_though_the_line_is_json(tmp_path, capsys, edi
         assert str(predictions) in err and f"line {line}" in err, command
 
 
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (b'"raw": "Measles"', b'"raw": 5'),
+        (b'"parse_failure": false', b'"parse_failure": "no"'),
+        (b'"truncated_input": false', b'"truncated_input": null'),
+        (b'"field_warnings": []', b'"field_warnings": "disease"'),
+        (b'"field_warnings": []', b'"field_warnings": [1]'),
+        (b'"iso": "2019-03-02"', b'"iso": "20190302"'),
+        (b'"iso": "2019-03-02"', b'"iso": "2019-W09-6"'),
+    ],
+    ids=[
+        "raw-number", "parse-failure-string", "truncated-input-null", "field-warnings-string",
+        "field-warnings-number", "date-basic-form", "date-week-form",
+    ],
+)
+def test_predictions_value_of_the_wrong_type_exits_2_naming_its_line(
+    tmp_path, capsys, before, after
+):
+    config = _extract_and_evaluate(tmp_path)
+    predictions = _predictions_file(tmp_path, "rule")
+    predictions.write_bytes(_edit_line(1, before, after)(predictions.read_bytes()))
+    # No sidecar, as an older epix left it: extract would adopt every record it reads.
+    _state_file(tmp_path, "rule").unlink()
+    capsys.readouterr()
+    for command in ("evaluate", "extract"):
+        assert main(["--config", str(config), command]) == 2, command
+        err = capsys.readouterr().err
+        assert str(predictions) in err and "line 2" in err, command
+    assert not _state_file(tmp_path, "rule").exists()
+
+
 def test_unreadable_sidecar_leaves_evaluate_as_it_was(tmp_path):
     config = _extract_and_evaluate(tmp_path)
     out = tmp_path / "out"
@@ -1137,7 +1169,7 @@ def test_journal_vouches_exactly_as_the_one_object_sidecar(data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         written = state.Stored(tmp / "p.jsonl", tmp / "p.json", "f", dict.fromkeys(lines, "input"))
-        written.save(lines)
+        written.save(lines, lines)
         committed, journal = written.path.read_bytes(), written.state_path.read_bytes()
         edited = committed
         for edit in data.draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
@@ -1159,6 +1191,96 @@ def test_journal_vouches_exactly_as_the_one_object_sidecar(data):
             four_keys = {**one_object, "length": len(committed), "sha256": sha256}
             assert expected == _whole_file_vouched(edited, four_keys)
         assert _verdict(edited, written.state_path) == expected
+
+
+# --- the extract oracle: after any sequence of edits, a clean extract's bytes -------
+
+_BODIES = [
+    "Measles outbreak in France on 2 March 2019; 11 cases.",
+    "Cholera in Yemen: 7 cases reported on 5 May 2020.",
+    "Ebola virus disease in Guinea, 12 deaths.",
+    "No outbreak was reported this week.",
+]
+
+
+def _corpus_edit(edit):
+    """A step that rewrites the corpus as ``edit`` leaves its list of documents."""
+
+    def step(tmp, *args):
+        docs = load_corpus(tmp / "corpus.jsonl")
+        save_corpus(edit(docs, *args), tmp / "corpus.jsonl")
+
+    step.__name__ = edit.__name__
+    return step
+
+
+def _doc(doc_id, body):
+    return Document(id=doc_id, source=Source.PROMED, title=doc_id, body=_BODIES[body])
+
+
+def _append_document(docs, body):
+    ids = {doc.id for doc in docs}
+    return [*docs, _doc(next(f"d{i}" for i in range(len(ids) + 1) if f"d{i}" not in ids), body)]
+
+
+def _change_body(docs, index, body):
+    if docs:
+        docs[index % len(docs)] = _doc(docs[index % len(docs)].id, body)
+    return docs
+
+
+def _remove_document(docs, index):
+    return [doc for i, doc in enumerate(docs) if i != index % max(len(docs), 1)]
+
+
+def _torn_predictions_tail(tmp, cut):
+    path = _predictions_file(tmp, "rule")
+    path.write_bytes(path.read_bytes() + json_line(ExtractionRecord("torn", "rule"))[:cut])
+
+
+def _line_for_a_new_id(tmp):
+    path = _predictions_file(tmp, "rule")
+    path.write_bytes(path.read_bytes() + json_line(ExtractionRecord("new", "rule")))
+
+
+def _journal_cut_after_its_header(tmp):
+    path = _state_file(tmp, "rule")
+    path.write_bytes(path.read_bytes().partition(b"\n")[0] + b"\n")
+
+
+def _sidecar_dropped(tmp):
+    _state_file(tmp, "rule").unlink()
+
+
+_EXTRACT_STEPS = st.one_of(
+    st.tuples(st.just(_corpus_edit(_append_document)), st.integers(0, len(_BODIES) - 1)),
+    st.tuples(
+        st.just(_corpus_edit(_change_body)), st.integers(0, 5), st.integers(0, len(_BODIES) - 1)
+    ),
+    st.tuples(st.just(_corpus_edit(_remove_document)), st.integers(0, 5)),
+    st.tuples(st.just(_torn_predictions_tail), st.integers(1, 60)),
+    st.tuples(st.just(_line_for_a_new_id)),
+    st.tuples(st.just(_journal_cut_after_its_header)),
+    st.tuples(st.just(_sidecar_dropped)),
+)
+
+
+@settings(max_examples=60)
+@given(steps=st.lists(_EXTRACT_STEPS, min_size=1, max_size=8))
+def test_reextract_after_any_edits_writes_what_a_clean_extract_writes(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_corpus([_doc("d0", 0), _doc("d1", 1)], tmp / "corpus.jsonl")
+        config = str(_write_config(tmp, [{"id": "rule", "kind": "rule_based"}]))
+        assert main(["--config", config, "extract"]) == 0
+        for n, (step, *args) in enumerate(steps):
+            step(tmp, *args)
+            assert main(["--config", config, "extract"]) == 0, (step.__name__, args)
+            clean = tmp / f"clean{n}"
+            assert main(["--config", config, "--output", str(clean), "extract"]) == 0
+            for path in (Path("predictions", "rule.jsonl"), Path("state", "rule.json")):
+                written = (tmp / "out" / path).read_bytes()
+                assert written == (clean / path).read_bytes(), (step.__name__, args, path)
 
 
 def test_loading_a_config_does_not_import_requests(tmp_path):
@@ -1564,8 +1686,20 @@ def _ensemble_policy(policy):
         (lambda c: {**c, "transport": "x"}, "transport"),
         (lambda c: {**c, "sampling": []}, "sampling"),
         (lambda c: {**c, "extractors": _ensemble_policy("x")}, "policy"),
+        (lambda c: {**c, "extractors": _ensemble_policy({"tie_break": 5})}, "policy.tie_break"),
+        (
+            lambda c: {**c, "extractors": [{"id": "m", "kind": "llm", "model": ["x"]}]},
+            "extractors[0].model",
+        ),
+        (lambda c: {**c, "corpus": 5}, "corpus"),
+        (lambda c: {**c, "gold": 5}, "gold"),
+        (lambda c: {**c, "output_dir": 5}, "output_dir"),
+        (lambda c: {**c, "transport": {"mode": "replay", "cache_dir": 5}}, "transport.cache_dir"),
     ],
-    ids=["extractors-object", "extractor-string", "extractor-null", "transport", "sampling", "policy"],
+    ids=[
+        "extractors-object", "extractor-string", "extractor-null", "transport", "sampling", "policy",
+        "tie-break", "model", "corpus", "gold", "output-dir", "cache-dir",
+    ],
 )
 def test_config_section_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsys, edit, key):
     path, argv = _edited_config(edit)(tmp_path)

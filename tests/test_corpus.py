@@ -248,6 +248,35 @@ def test_gold_rejects_negative_count(tmp_path):
         load_gold(path)
 
 
+# Forms CPython 3.11's ``date.fromisoformat`` reads as 2019-05-03 and 3.10's refuses.
+_OTHER_ISO_FORMS = ["20190503", "2019-W18-5"]
+
+
+@pytest.mark.parametrize("spelled", _OTHER_ISO_FORMS)
+def test_gold_date_must_be_year_month_day(tmp_path, spelled):
+    path = tmp_path / "gold.jsonl"
+    path.write_text(
+        f'{{"document_id":"d1","date":"2019-05-03"}}\n{{"document_id":"d2","date":"{spelled}"}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(SchemaError, match="line 2"):
+        load_gold(path)
+    path.write_text('{"document_id":"d1","date":"2019-05-03"}\n', encoding="utf-8")
+    assert load_gold(path)[0].date == date(2019, 5, 3)
+
+
+@pytest.mark.parametrize("spelled", _OTHER_ISO_FORMS)
+def test_corpus_published_date_must_be_year_month_day(tmp_path, spelled):
+    path = tmp_path / "corpus.jsonl"
+    doc = {"id": "d1", "source": "PROMED", "title": "t", "body": "b", "published": "2019-05-03"}
+    lines = [doc, {**doc, "id": "d2", "published": spelled}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(SchemaError, match="line 2"):
+        load_corpus(path)
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert load_corpus(path)[0].published == date(2019, 5, 3)
+
+
 def test_gold_roundtrip(tmp_path):
     golds = [
         GoldAnnotation("d1", "Cholera", "Yemen", None, 5000),

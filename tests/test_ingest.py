@@ -334,3 +334,14 @@ def test_out_inside_the_input_directory_exits_2_writing_nothing(tmp_path, capsys
     err = capsys.readouterr().err
     assert str(out) in err and str(raw) in err
     assert [p.name for p in raw.iterdir()] == ["a.txt"]
+
+
+@pytest.mark.parametrize("spelled", ["plain", "dotted"])
+def test_out_that_is_the_raw_input_file_exits_2_writing_nothing(tmp_path, capsys, spelled):
+    raw = _raw_dir(tmp_path, ["a.txt"])
+    post = raw / "a.txt"
+    out = post if spelled == "plain" else raw / ".." / "raw" / "a.txt"
+    assert _ingest("promed", post, out) == 2
+    assert str(out) in capsys.readouterr().err
+    assert post.read_bytes() == BODIES[0]
+    assert [p.name for p in raw.iterdir()] == ["a.txt"]
