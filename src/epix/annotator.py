@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate, islice
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .corpus import Document, ExtractionRecord
@@ -23,7 +24,6 @@ from .normalize import (
     CanonicalDisease,
     CaseCount,
     CountAttribute,
-    CountryCode,
     DATE_PATTERNS,
     IsoDate,
     count_from_match,
@@ -45,6 +45,7 @@ _COUNT_RUN_RE = re.compile(r"[\w\s,-]*")
 # Every DATE_PATTERNS match starts at a word boundary with a digit or a month name.
 _DATE_ANCHOR_RE = re.compile(rf"\b(?=\d|{_MONTH_RE})")
 
+# Counts are grouped by their number, and a tie prefers cases, then deaths.
 _ATTRIBUTE_RANK = {
     CountAttribute.CASE: 0,
     CountAttribute.DEATH: 1,
@@ -77,7 +78,7 @@ class DateSpan:
 
 @dataclass(frozen=True)
 class KeyEntitySet:
-    """At most one winner per class, chosen by mention frequency."""
+    """At most one winner per class, chosen by ``filter_key_entities``."""
 
     disease: Optional[str] = None  # canonical id
     country: Optional[str] = None  # alpha-3 code
@@ -215,24 +216,33 @@ def annotate_dates(doc: Document) -> list[DateSpan]:
     return spans
 
 
-def _most_frequent(occurrences: list[tuple[object, int]], extra_rank=None):
-    """Winner among (value, offset) mentions: frequency, then tie rules.
+def _winner(mentions, key=lambda value: value, rank=lambda value: 0):
+    """The winning value among ``(value, span)`` mentions, or None when there are none.
 
-    Ties break to the earliest first mention; ``extra_rank`` slots an extra
-    criterion (count attribute preference) between frequency and position.
+    Mentions are grouped by the ``key`` of their value, and the largest group
+    wins. A tie goes to the group whose best mention has the lowest ``rank``,
+    then to the group mentioned first (the lowest span start). Within the
+    winning group, the first mention of that lowest rank gives the value.
     """
-    if not occurrences:
-        return None
-    stats: dict[object, dict] = {}
-    for value, offset in occurrences:
-        entry = stats.setdefault(value, {"freq": 0, "first": offset})
-        entry["freq"] += 1
-        entry["first"] = min(entry["first"], offset)
-    def sort_key(value):
-        entry = stats[value]
-        rank = extra_rank(value) if extra_rank else 0
-        return (-entry["freq"], rank, entry["first"])
-    return min(stats, key=sort_key)
+    groups: dict[object, list] = {}
+    for value, span in mentions:
+        groups.setdefault(key(value), []).append((rank(value), span.start, value))
+    group = min(
+        groups.values(),
+        key=lambda g: (-len(g), min(r for r, _, _ in g), min(s for _, s, _ in g)),
+        default=None,
+    )
+    return None if group is None else min(group, key=lambda m: m[:2])[2]
+
+
+def _mentions(spans, counts, dates) -> dict[str, list[tuple]]:
+    """Each field's mentions among the annotations, as ``(value, span)`` pairs."""
+    return {
+        "disease": [(s.canonical_id, s) for s in spans if s.cls == DISEASE],
+        "country": [(s.canonical_id, s) for s in spans if s.cls == COUNTRY],
+        "date": [(d.value, d) for d in dates],
+        "count": [(c.count, c) for c in counts],
+    }
 
 
 def filter_key_entities(
@@ -240,42 +250,16 @@ def filter_key_entities(
     counts: Sequence[CountSpan],
     dates: Sequence[DateSpan],
 ) -> KeyEntitySet:
-    """Condense annotations to one winner per class by mention frequency."""
-    disease = _most_frequent(
-        [(s.canonical_id, s.start) for s in spans if s.cls == DISEASE]
-    )
-    country = _most_frequent(
-        [(s.canonical_id, s.start) for s in spans if s.cls == COUNTRY]
-    )
-    date_winner = _most_frequent([(d.value, d.start) for d in dates])
-
-    count_winner = None
-    count_groups: dict[int, list[CountSpan]] = {}
-    for span in counts:
-        count_groups.setdefault(span.count.value, []).append(span)
-    if count_groups:
-        def group_rank(value):
-            return min(_ATTRIBUTE_RANK[s.count.attribute] for s in count_groups[value])
-        winning_value = _most_frequent(
-            [(s.count.value, s.start) for s in counts], extra_rank=group_rank
-        )
-        best_rank = group_rank(winning_value)
-        count_winner = next(
-            s.count
-            for s in sorted(count_groups[winning_value], key=lambda s: s.start)
-            if _ATTRIBUTE_RANK[s.count.attribute] == best_rank
-        )
-
+    """Condense annotations to one winner per class, by the rule of ``_winner``."""
+    mentions = _mentions(spans, counts, dates)
     return KeyEntitySet(
-        disease=disease, country=country, date=date_winner, count=count_winner
+        disease=_winner(mentions["disease"]),
+        country=_winner(mentions["country"]),
+        date=_winner(mentions["date"]),
+        count=_winner(
+            mentions["count"], attrgetter("value"), lambda c: _ATTRIBUTE_RANK[c.attribute]
+        ),
     )
-
-
-def _first_surface(spans: Sequence[EntitySpan], cls: str, canonical_id: str) -> Optional[str]:
-    hits = [s for s in spans if s.cls == cls and s.canonical_id == canonical_id]
-    if not hits:
-        return None
-    return min(hits, key=lambda s: s.start).surface
 
 
 def extract_rule_based(
@@ -283,45 +267,30 @@ def extract_rule_based(
     gazetteer: Gazetteer | None = None,
     extractor_id: str = "rule-based",
 ) -> ExtractionRecord:
-    """Run the three annotators and map the per-class winners into a record."""
+    """Run the three annotators and map the per-class winners into a record.
+
+    A field's raw string is the body text of its winner's first mention.
+    """
     if gazetteer is None:
         gazetteer = default_gazetteer()
     spans = annotate_entities(doc, gazetteer)
     counts = annotate_counts(doc)
     dates = annotate_dates(doc)
     keys = filter_key_entities(spans, counts, dates)
-
-    disease = None
-    disease_raw = None
-    if keys.disease is not None:
-        disease = CanonicalDisease(keys.disease, gazetteer.display_name(keys.disease))
-        disease_raw = _first_surface(spans, DISEASE, keys.disease)
-
-    country: Optional[CountryCode] = None
-    country_raw = None
-    if keys.country is not None:
-        country = country_table().for_code(keys.country)
-        country_raw = _first_surface(spans, COUNTRY, keys.country)
-
-    date_raw = None
-    if keys.date is not None:
-        first = min((d for d in dates if d.value == keys.date), key=lambda d: d.start)
-        date_raw = doc.body[first.start : first.end]
-
-    count_raw = None
-    if keys.count is not None:
-        first = min((c for c in counts if c.count == keys.count), key=lambda c: c.start)
-        count_raw = doc.body[first.start : first.end]
-
+    raw = {}
+    # The annotators give their spans in body order, so ``next`` finds the first mention.
+    for field, mentions in _mentions(spans, counts, dates).items():
+        winner = getattr(keys, field)
+        first = next((span for value, span in mentions if value == winner), None)
+        raw[f"{field}_raw"] = None if first is None else doc.body[first.start : first.end]
     return ExtractionRecord(
         document_id=doc.id,
         extractor_id=extractor_id,
-        disease_raw=disease_raw,
-        disease=disease,
-        country_raw=country_raw,
-        country=country,
-        date_raw=date_raw,
+        disease=None if keys.disease is None else CanonicalDisease(
+            keys.disease, gazetteer.display_name(keys.disease)
+        ),
+        country=None if keys.country is None else country_table().for_code(keys.country),
         date=keys.date,
-        count_raw=count_raw,
         count=keys.count,
+        **raw,
     )

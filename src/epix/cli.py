@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -143,11 +144,19 @@ def _checked(value, name: str, kind: type):
     return value
 
 
+def _choice(section: dict, name: str, default: str, choices: type[Enum]):
+    """The config value ``name`` (``section.key``) checked to be one of ``choices``, any case."""
+    value = section.get(name.rpartition(".")[2], default)
+    if not isinstance(value, str) or value.upper() not in {c.value for c in choices}:
+        allowed = ", ".join(c.value.lower() for c in choices)
+        raise ConfigError(f"{name} must be a JSON string, one of {allowed}; got {value!r}")
+    return choices(value.upper())
+
+
 def _parse_policy(data: dict, members: Sequence[str]) -> VotePolicy:
-    tie_break = _checked(data.get("tie_break", "priority_order"), "policy.tie_break", str)
     return VotePolicy(
         min_agreement=_number(data, "policy.min_agreement", 2, integer=True, minimum=1),
-        tie_break=TieBreak(tie_break.upper()),
+        tie_break=_choice(data, "policy.tie_break", "priority_order", TieBreak),
         priority=_ids(data, "policy.priority", list(members)),
     )
 
@@ -218,7 +227,7 @@ def _parse_run_config(data) -> RunConfig:
     if not data.get("corpus"):
         raise ConfigError("config needs a corpus path")
     transport = _checked(data.get("transport", {}), "transport", dict)
-    mode = TransportMode(str(transport.get("mode", "replay")).upper())
+    mode = _choice(transport, "transport.mode", "replay", TransportMode)
     cache_dir = transport.get("cache_dir")
     sampling = _checked(data.get("sampling", {}), "sampling", dict)
     config = RunConfig(
@@ -226,7 +235,7 @@ def _parse_run_config(data) -> RunConfig:
         gold=Path(_checked(data["gold"], "gold", str)) if data.get("gold") else None,
         output_dir=Path(_checked(data.get("output_dir", "out"), "output_dir", str)),
         extractors=extractors,
-        match_mode=MatchMode(str(data.get("match_mode", "strict_value")).upper()),
+        match_mode=_choice(data, "match_mode", "strict_value", MatchMode),
         transport_mode=mode,
         cache_dir=Path(_checked(cache_dir, "transport.cache_dir", str)) if cache_dir else None,
         max_attempts=_number(transport, "transport.max_attempts", 3, integer=True, minimum=1),

@@ -86,6 +86,9 @@ class Document:
         url = record.get("url")
         if url is not None and not isinstance(url, str):
             raise SchemaError("url must be a string or null")
+        warnings = record.get("warnings", [])
+        if type(warnings) is not list or not all(type(w) is str for w in warnings):
+            raise SchemaError(f"warnings must be a list of strings, got {warnings!r}")
         return Document(
             id=doc_id,
             source=source,
@@ -93,7 +96,7 @@ class Document:
             body=body,
             url=url,
             published=published,
-            warnings=tuple(record.get("warnings", ())),
+            warnings=tuple(warnings),
         )
 
 

@@ -514,6 +514,126 @@ def test_filter_is_permutation_invariant(gazetteer):
     assert filter_key_entities(spans[::-1], counts[::-1], dates[::-1]) == baseline
 
 
+def _most_frequent(occurrences, extra_rank=None):
+    """Winner among (value, offset) mentions: frequency, then tie rules.
+
+    The earlier per-field rule, kept as the oracle: ties break to the
+    earliest first mention; ``extra_rank`` slots an extra criterion (count
+    attribute preference) between frequency and position.
+    """
+    if not occurrences:
+        return None
+    stats = {}
+    for value, offset in occurrences:
+        entry = stats.setdefault(value, {"freq": 0, "first": offset})
+        entry["freq"] += 1
+        entry["first"] = min(entry["first"], offset)
+
+    def sort_key(value):
+        entry = stats[value]
+        rank = extra_rank(value) if extra_rank else 0
+        return (-entry["freq"], rank, entry["first"])
+
+    return min(stats, key=sort_key)
+
+
+_RANK = {CountAttribute.CASE: 0, CountAttribute.DEATH: 1, CountAttribute.UNKNOWN: 2}
+
+
+def _filter_oracle(spans, counts, dates):
+    """The earlier ``filter_key_entities``, built on ``_most_frequent``."""
+    disease = _most_frequent([(s.canonical_id, s.start) for s in spans if s.cls == DISEASE])
+    country = _most_frequent([(s.canonical_id, s.start) for s in spans if s.cls == COUNTRY])
+    date_winner = _most_frequent([(d.value, d.start) for d in dates])
+    count_winner = None
+    count_groups = {}
+    for span in counts:
+        count_groups.setdefault(span.count.value, []).append(span)
+    if count_groups:
+        def group_rank(value):
+            return min(_RANK[s.count.attribute] for s in count_groups[value])
+        winning_value = _most_frequent(
+            [(s.count.value, s.start) for s in counts], extra_rank=group_rank
+        )
+        best_rank = group_rank(winning_value)
+        count_winner = next(
+            s.count
+            for s in sorted(count_groups[winning_value], key=lambda s: s.start)
+            if _RANK[s.count.attribute] == best_rank
+        )
+    return KeyEntitySet(disease=disease, country=country, date=date_winner, count=count_winner)
+
+
+# Few values and few offsets, so that frequency, attribute and offset ties are common.
+_STARTS = st.integers(0, 30)
+_ENTITY_MENTIONS = st.builds(
+    lambda cls, i, start: EntitySpan(cls, start, start + 1, "x", f"{cls}-{i}"),
+    st.sampled_from([DISEASE, COUNTRY]), st.integers(0, 3), _STARTS,
+)
+_COUNT_MENTIONS = st.builds(
+    lambda value, approximate, attribute, start: CountSpan(
+        start, start + 1, CaseCount(value, approximate, attribute)
+    ),
+    st.integers(0, 3), st.booleans(), st.sampled_from(list(CountAttribute)), _STARTS,
+)
+_DATE_MENTIONS = st.builds(
+    lambda day, start: DateSpan(start, start + 1, date(2020, 1, day)), st.integers(1, 4), _STARTS
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(_ENTITY_MENTIONS, max_size=12),
+    st.lists(_COUNT_MENTIONS, max_size=12),
+    st.lists(_DATE_MENTIONS, max_size=12),
+)
+@example(
+    [],
+    [
+        CountSpan(0, 1, CaseCount(13, False, CountAttribute.DEATH)),
+        CountSpan(2, 3, CaseCount(15, False, CountAttribute.UNKNOWN)),
+        CountSpan(4, 5, CaseCount(15, True, CountAttribute.CASE)),
+        CountSpan(6, 7, CaseCount(13, False, CountAttribute.DEATH)),
+        CountSpan(8, 9, CaseCount(15, False, CountAttribute.CASE)),
+    ],
+    [],
+)
+def test_filter_matches_the_per_field_oracle(spans, counts, dates):
+    assert filter_key_entities(spans, counts, dates) == _filter_oracle(spans, counts, dates)
+
+
+_PIECES = [
+    "Ebola", "Zika", "Nipah virus", "France", "DRC", "India", "15 cases", "15 deaths",
+    "fifteen cases", "about 15 cases", "13 deaths", "13 new cases", "3 May 2019",
+    "2019-05-03", "4 May 2019",
+]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(_PIECES), max_size=14), st.lists(st.sampled_from(" ,.")))
+def test_each_raw_string_is_the_text_of_its_winners_first_mention(gazetteer, pieces, seps):
+    body = "".join(p + (seps[i] if i < len(seps) else ";") + " " for i, p in enumerate(pieces))
+    doc = _doc(body)
+    spans, counts = annotate_entities(doc, gazetteer), annotate_counts(doc)
+    dates = annotate_dates(doc)
+    keys = _filter_oracle(spans, counts, dates)
+    record = extract_rule_based(doc, gazetteer)
+    mentions = {
+        "disease": [(s.canonical_id, s) for s in spans if s.cls == DISEASE],
+        "country": [(s.canonical_id, s) for s in spans if s.cls == COUNTRY],
+        "date": [(d.value, d) for d in dates],
+        "count": [(c.count, c) for c in counts],
+    }
+    for field, found in mentions.items():
+        winner = getattr(keys, field)
+        firsts = [m for value, m in found if value == winner]
+        first = min(firsts, key=lambda m: m.start) if firsts else None
+        assert record.raw_value(field) == (first and body[first.start : first.end]), field
+    assert (record.disease and record.disease.canonical_id) == keys.disease
+    assert (record.country and record.country.alpha3) == keys.country
+    assert (record.date, record.count) == (keys.date, keys.count)
+
+
 # --- end-to-end rule extraction ------------------------------------------------
 
 

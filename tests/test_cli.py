@@ -17,7 +17,9 @@ from epix.corpus import (
     Document, ExtractionRecord, GoldAnnotation, Source, json_line, load_corpus, save_corpus,
     save_gold,
 )
+from epix.ensemble import TieBreak
 from epix.errors import ConfigError, SchemaError
+from epix.evaluation import MatchMode
 from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
 
 
@@ -342,6 +344,25 @@ def test_predictions_value_of_the_wrong_type_exits_2_naming_its_line(
         err = capsys.readouterr().err
         assert str(predictions) in err and "line 2" in err, command
     assert not _state_file(tmp_path, "rule").exists()
+
+
+def test_vouched_line_that_stored_keys_cannot_read_is_read_in_full(tmp_path, capsys):
+    config = _extract_and_evaluate(tmp_path)
+    predictions, sidecar = _predictions_file(tmp_path, "rule"), _state_file(tmp_path, "rule")
+    lines = predictions.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    del record["document_id"]
+    lines[1] = (json.dumps(record) + "\n").encode("utf-8")
+    predictions.write_bytes(b"".join(lines))
+    # The journal row is re-hashed, so the sidecar vouches for the edited line.
+    header, rows = _journal(sidecar)
+    rows[1][2] = hashlib.sha256(lines[1]).hexdigest()
+    sidecar.write_bytes(_journal_bytes(header, rows))
+    assert state.wholly_vouched(predictions.read_bytes(), sidecar) is not None
+    capsys.readouterr()
+    assert main(["--config", str(config), "evaluate"]) == 2
+    err = capsys.readouterr().err
+    assert f"line 2: {predictions}: a record needs a document_id" in err
 
 
 def test_unreadable_sidecar_leaves_evaluate_as_it_was(tmp_path):
@@ -1707,6 +1728,53 @@ def test_config_section_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsy
     assert main(argv) == 2
     assert f"error: {path}: {key} must be a JSON " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, key, allowed",
+    [
+        (lambda c: {**c, "match_mode": 5}, "match_mode", "strict_value, detection_only"),
+        (lambda c: {**c, "match_mode": "fuzzy"}, "match_mode", "strict_value, detection_only"),
+        (lambda c: {**c, "transport": {"mode": None}}, "transport.mode", "live, record, replay"),
+        (lambda c: {**c, "transport": {"mode": "psy"}}, "transport.mode", "live, record, replay"),
+        (
+            lambda c: {**c, "extractors": _ensemble_policy({"tie_break": "coin"})},
+            "policy.tie_break",
+            "priority_order, abstain",
+        ),
+        (
+            lambda c: {**c, "extractors": _ensemble_policy({"tie_break": ["abstain"]})},
+            "policy.tie_break",
+            "priority_order, abstain",
+        ),
+    ],
+    ids=[
+        "match-mode-number", "match-mode-unknown", "transport-mode-null", "transport-mode-unknown",
+        "tie-break-unknown", "tie-break-list",
+    ],
+)
+def test_config_choice_that_is_not_allowed_exits_2_naming_its_key_and_the_choices(
+    tmp_path, capsys, edit, key, allowed
+):
+    path, argv = _edited_config(edit)(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {key} must be a JSON string, one of {allowed}; got " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_choices_load_in_any_case(tmp_path):
+    path = _write_config(
+        tmp_path,
+        _ensemble_policy({"tie_break": "Abstain"}),
+        transport={"mode": "LIVE"},
+        match_mode="Detection_Only",
+    )
+    config = load_run_config(path)
+    assert config.match_mode is MatchMode.DETECTION_ONLY
+    assert config.transport_mode is TransportMode.LIVE
+    assert config.extractors[2].ensemble.policy.tie_break is TieBreak.ABSTAIN
 
 
 def test_extractor_id_outside_the_output_directory_writes_nothing(tmp_path):

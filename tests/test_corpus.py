@@ -136,6 +136,19 @@ def test_corpus_malformed_line_reports_line_number(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize(
+    "warnings", ["abc", [1, None], ["malformed-markup", 7], {"a": 1}, None],
+    ids=["string", "numbers", "one-number", "object", "null"],
+)
+def test_corpus_warnings_must_be_a_list_of_strings(tmp_path, warnings):
+    path = tmp_path / "corpus.jsonl"
+    good = _docs()[2].to_json()
+    lines = [good, {**good, "id": "d2", "warnings": warnings}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(SchemaError, match="line 2: .*warnings must be a list of strings"):
+        load_corpus(path)
+
+
 def test_corpus_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     save_corpus([_docs()[0], _docs()[0]], path)

@@ -515,6 +515,28 @@ def test_extract_with_llm_gibberish_flags_parse_failure(tmp_path, gazetteer):
     assert (record.disease, record.country, record.date, record.count) == (None,) * 4
 
 
+@pytest.mark.parametrize(
+    "answer, parsed",
+    [('{"virus": "Zika", "country": "Brazil"}', True), ("cannot comply, sorry", False)],
+    ids=["parsed", "parse-failure"],
+)
+def test_extract_with_llm_flags_a_body_over_the_prompt_budget(tmp_path, gazetteer, answer, parsed):
+    doc = _doc("Zika in Brazil. " + "x" * 100_000)
+    template = load_template("zero-shot")
+    profile = default_registry()["pythia-12b"]
+    assert build_messages(doc, template, profile).truncated
+    transport = _seeded_transport(tmp_path, doc, template, profile, answer)
+    record = extract_with_llm(doc, profile, template, transport, gazetteer=gazetteer)
+    assert record.truncated_input
+    assert record.parse_failure is not parsed
+    assert (record.disease is not None, record.country is not None) == (parsed, parsed)
+    # The same answer to a body within the budget leaves the flag down.
+    short = _doc("Zika in Brazil.", doc_id="d2")
+    transport = _seeded_transport(tmp_path, short, template, profile, answer)
+    record = extract_with_llm(short, profile, template, transport, gazetteer=gazetteer)
+    assert not record.truncated_input
+
+
 def test_extract_documents_preserves_order_and_reports_failures(tmp_path, gazetteer):
     template = load_template("zero-shot")
     profile = default_registry()["mistral-7b-openorca"]
