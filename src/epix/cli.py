@@ -38,7 +38,6 @@ from .errors import (
     AlignmentError,
     ConfigError,
     EmptyInput,
-    EmptyReport,
     EpixError,
     ExtractionFailed,
     SchemaError,
@@ -57,8 +56,6 @@ from .llm import Sampling, Transport, TransportMode, default_registry, load_temp
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_TRANSPORT = 3
-EXIT_EVALUATION = 4
 
 RULE_BASED = "rule_based"
 LLM = "llm"
@@ -514,15 +511,13 @@ def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
 def cmd_evaluate(config: RunConfig) -> int:
     """Score all extractors against gold and write every report format."""
     if config.gold is None:
-        print("error: config has no gold file", file=sys.stderr)
-        return EXIT_EVALUATION
+        raise AlignmentError("config has no gold file")
     golds = load_gold(config.gold)
     records_by_extractor = {}
     for spec in config.extractors:
         path = config.predictions_path(spec.id)
         if not path.exists():
-            print(f"error: no predictions for extractor {spec.id!r} at {path}", file=sys.stderr)
-            return EXIT_EVALUATION
+            raise AlignmentError(f"no predictions for extractor {spec.id!r} at {path}")
         records_by_extractor[spec.id] = _prediction_keys(config, spec.id)
 
     report = evaluate(
@@ -610,8 +605,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args.report_path, args.format, args.out)
         if not args.config:
-            print("error: --config is required for this command", file=sys.stderr)
-            return EXIT_INPUT
+            raise ConfigError("--config is required for this command")
         config = _apply_overrides(load_run_config(args.config), args)
         if args.command == "extract":
             ids = {spec.id for spec in config.extractors}
@@ -622,18 +616,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config)
         raise AssertionError(f"unhandled command {args.command}")
-    except (EmptyInput, SchemaError, ConfigError, OSError) as exc:
+    except (EpixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ExtractionFailed, TransportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except (AlignmentError, EmptyReport) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
-    except EpixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code if isinstance(exc, EpixError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

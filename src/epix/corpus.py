@@ -126,8 +126,7 @@ class GoldAnnotation:
 @dataclass(frozen=True)
 class ExtractionRecord:
     """What one extractor found in one document: per field, the raw string
-    and its normalized value; ``field_warnings`` names the fields whose raw
-    string defeated normalization."""
+    and its normalized value."""
 
     document_id: str
     extractor_id: str
@@ -141,11 +140,17 @@ class ExtractionRecord:
     count: Optional[CaseCount] = None
     parse_failure: bool = False
     truncated_input: bool = False
-    field_warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.extractor_id:
             raise ValueError("extractor_id must be non-empty")
+
+    @property
+    def field_warnings(self) -> tuple[str, ...]:
+        """The fields, in FIELDS order, whose raw string is set and whose value is not."""
+        return tuple(
+            f for f in FIELDS if getattr(self, f) is None and getattr(self, f"{f}_raw") is not None
+        )
 
     def normalized_value(self, field_name: str):
         if field_name not in FIELDS:
@@ -191,20 +196,18 @@ class ExtractionRecord:
         if not all(isinstance(i, str) and i for i in ids):
             raise SchemaError("a record needs a document_id and an extractor_id")
         flags = record.get("flags", {})
-        parse_failure = flags.get("parse_failure", False)
-        truncated_input = flags.get("truncated_input", False)
-        warnings = flags.get("field_warnings", [])
-        if type(parse_failure) is not bool or type(truncated_input) is not bool:
-            raise SchemaError("flags parse_failure and truncated_input must be booleans")
-        if type(warnings) is not list or not all(type(w) is str for w in warnings):
-            raise SchemaError("flags field_warnings must be a list of strings")
-        return ExtractionRecord(
+        decoded = ExtractionRecord(
             *ids,
-            parse_failure=parse_failure,
-            truncated_input=truncated_input,
-            field_warnings=tuple(warnings),
+            parse_failure=flags.get("parse_failure", False),
+            truncated_input=flags.get("truncated_input", False),
             **values,
         )
+        if type(decoded.parse_failure) is not bool or type(decoded.truncated_input) is not bool:
+            raise SchemaError("flags parse_failure and truncated_input must be booleans")
+        derived = list(decoded.field_warnings)
+        if flags.get("field_warnings", derived) != derived:
+            raise SchemaError(f"flags field_warnings must be {derived}, the fields left unresolved")
+        return decoded
 
 
 # --- markup stripping ------------------------------------------------------

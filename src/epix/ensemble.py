@@ -40,10 +40,14 @@ class EnsembleConfig:
             raise ConfigError("ensemble members must be distinct")
         if self.policy.min_agreement > len(self.members):
             raise ConfigError("min_agreement cannot exceed the member count")
-        if self.policy.tie_break is TieBreak.PRIORITY_ORDER:
-            missing = set(self.members) - set(self.policy.priority)
-            if missing:
-                raise ConfigError(f"priority order does not cover members: {sorted(missing)}")
+        if self.policy.priority or self.policy.tie_break is TieBreak.PRIORITY_ORDER:
+            _check_priority(self.policy, self.members)
+
+
+def _check_priority(policy: VotePolicy, members: Sequence[str]) -> None:
+    missing = set(members) - set(policy.priority)
+    if missing:
+        raise ConfigError(f"priority order does not cover members: {sorted(missing)}")
 
 
 def _winning_group(
@@ -90,6 +94,8 @@ def vote_field(
     members: Sequence[str] | None = None,
 ):
     """Majority vote over one field's candidate values; None means abstain."""
+    if members is not None and policy.priority:
+        _check_priority(policy, members)
     group = _winning_group(field_name, candidates, policy, members)
     if group is None:
         return None

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 
 class EpixError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``exit_code`` is the CLI's exit status for it."""
+
+    exit_code = 2
 
 
 class EmptyInput(EpixError):
@@ -35,6 +37,8 @@ class BudgetExhausted(EpixError):
 class TransportError(EpixError):
     """A model request failed after exhausting retries."""
 
+    exit_code = 3
+
 
 class CacheMiss(TransportError):
     """Replay mode found no cached response for a request digest."""
@@ -55,6 +59,8 @@ class ExtractionFailed(EpixError):
     callers can persist progress before surfacing the error.
     """
 
+    exit_code = 3
+
     def __init__(self, document_id: str, cause: Exception, partial_records=()):
         super().__init__(f"extraction failed on document {document_id!r}: {cause}")
         self.document_id = document_id
@@ -63,8 +69,12 @@ class ExtractionFailed(EpixError):
 
 
 class AlignmentError(EpixError):
-    """Gold annotations and predictions do not align one-to-one by document id."""
+    """Gold annotations and predictions cannot be paired one-to-one by document id."""
+
+    exit_code = 4
 
 
 class EmptyReport(EpixError):
     """Attempted to render a report containing no extractors."""
+
+    exit_code = 4

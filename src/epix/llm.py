@@ -19,7 +19,7 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import Document, ExtractionRecord, write_atomic
@@ -281,11 +281,15 @@ def request_digest(model_name: str, messages: Sequence[Mapping], sampling: Sampl
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _content_of(response_body: dict) -> str:
+def _content_of(response_body: dict, source: Callable[[], object]) -> str:
+    """The model text of a reply; ``source()`` names a malformed reply's origin, lazily."""
     try:
-        return response_body["choices"][0]["message"]["content"]
+        content = response_body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
-        raise TransportError(f"malformed completion response: {response_body!r}") from None
+        content = None
+    if type(content) is not str:
+        raise TransportError(f"{source()}: malformed completion response: {response_body!r}")
+    return content
 
 
 def _endpoint_address(endpoint: str) -> tuple[bool, str, int, str]:
@@ -345,7 +349,7 @@ def complete(
         entry = transport.read_cached(digest)
         if entry is None:
             raise CacheMiss(f"no cached response for digest {digest}")
-        return _content_of(entry["response"])
+        return _content_of(entry["response"], lambda: transport.cache_path(digest))
 
     https, host, port, target = _endpoint_address(model.endpoint)
     api_key = os.environ.get(API_KEY_ENV)
@@ -398,7 +402,7 @@ def complete(
             response_body = json.loads(data)
         except ValueError as exc:
             raise TransportError(f"{model.endpoint}: HTTP 200 reply is not JSON ({exc})") from None
-        content = _content_of(response_body)
+        content = _content_of(response_body, lambda: model.endpoint)
         if transport.mode is TransportMode.RECORD:
             transport.write_cached(digest, request_body, response_body)
         return content
@@ -450,26 +454,22 @@ def parse_fields(
     """Map an answer object's keys onto the record fields and normalize them.
 
     A missing key or the absent marker means the field is absent; a value
-    that defeats normalization keeps its raw string and flags the field.
+    that defeats normalization keeps its raw string, and so shows in the
+    record's ``field_warnings``.
     """
     folded = {str(key).casefold(): value for key, value in field_map.items()}
     values: dict[str, object] = {}
-    warnings: list[str] = []
     for name, row in FIELD_TABLE.items():
         raw = next((folded[key] for key in row.answer_keys if key in folded), None)
         if raw is not None:
             raw = _stringify(raw).strip()
         if not raw or raw.casefold() == ABSENT_MARKER.casefold():
             continue
-        normalized = row.normalize(raw, gazetteer)
-        if normalized is None:
-            warnings.append(name)
         values[f"{name}_raw"] = raw
-        values[name] = normalized
+        values[name] = row.normalize(raw, gazetteer)
     return ExtractionRecord(
         document_id=doc_id,
         extractor_id=extractor_id,
-        field_warnings=tuple(warnings),
         **values,
     )
 
@@ -488,21 +488,15 @@ def extract_with_llm(
     An unparseable response yields an all-absent record flagged as a parse
     failure rather than an error; transport problems do propagate.
     """
-    extractor_id = extractor_id or model.name
     build = build_messages(doc, template, model)
     text = complete(transport, model, build.messages, sampling)
     try:
-        island = extract_json_island(text)
+        island, parse_failure = extract_json_island(text), False
     except NoIsland:
-        return ExtractionRecord(
-            document_id=doc.id,
-            extractor_id=extractor_id,
-            parse_failure=True,
-            truncated_input=build.truncated,
-        )
-    record = parse_fields(island, doc.id, extractor_id, gazetteer=gazetteer)
-    if build.truncated:
-        record = replace(record, truncated_input=True)
+        island, parse_failure = {}, True
+    record = parse_fields(island, doc.id, extractor_id or model.name, gazetteer=gazetteer)
+    if parse_failure or build.truncated:
+        record = replace(record, parse_failure=parse_failure, truncated_input=build.truncated)
     return record
 
 

@@ -665,6 +665,13 @@ def test_explicit_empty_gazetteer_is_not_replaced_by_the_bundled_one():
     assert normalize_disease("Ebola", Gazetteer()) is None
 
 
+def test_country_code_missing_from_the_country_table_is_a_field_warning():
+    gazetteer = Gazetteer([(COUNTRY, "ZZZ", "Zedland", "Zedland")])
+    record = extract_rule_based(_doc("Cholera in Zedland: 5 cases"), gazetteer)
+    assert (record.country_raw, record.country) == ("Zedland", None)
+    assert record.field_warnings == ("country",)
+
+
 def test_extract_rule_based_frequency_rule(gazetteer):
     body = "France France France France France and Spain."
     record = extract_rule_based(_doc(body), gazetteer)

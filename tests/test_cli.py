@@ -18,7 +18,10 @@ from epix.corpus import (
     save_gold,
 )
 from epix.ensemble import TieBreak
-from epix.errors import ConfigError, SchemaError
+from epix.errors import (
+    AlignmentError, AuthError, BudgetExhausted, CacheMiss, ConfigError, EmptyInput, EmptyReport,
+    EpixError, ExtractionFailed, NoIsland, SchemaError, TransportError,
+)
 from epix.evaluation import MatchMode
 from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
 
@@ -214,8 +217,12 @@ def _seed_cache(tmp_path, docs, answer, model="gpt-4-32k", template="zero-shot",
 
 @pytest.mark.parametrize(
     "entry",
-    [b"{corrupt", b'{"digest": "x"}', b'{"response": "\xff"}'],
-    ids=["torn", "no-response", "not-utf-8"],
+    [
+        b"{corrupt", b'{"digest": "x"}', b'{"response": "\xff"}', b'{"response": {}}',
+        b'{"response": {"choices": [{"message": {"content": 5}}]}}',
+        b'{"response": {"choices": [{"message": {"content": null}}]}}',
+    ],
+    ids=["torn", "no-response", "not-utf-8", "no-choices", "content-number", "content-null"],
 )
 def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys, entry):
     docs = _small_corpus(tmp_path)
@@ -322,12 +329,14 @@ def test_hand_edited_value_exits_2_though_the_line_is_json(tmp_path, capsys, edi
         (b'"truncated_input": false', b'"truncated_input": null'),
         (b'"field_warnings": []', b'"field_warnings": "disease"'),
         (b'"field_warnings": []', b'"field_warnings": [1]'),
+        (b'"field_warnings": []', b'"field_warnings": ["disease"]'),
         (b'"iso": "2019-03-02"', b'"iso": "20190302"'),
         (b'"iso": "2019-03-02"', b'"iso": "2019-W09-6"'),
     ],
     ids=[
         "raw-number", "parse-failure-string", "truncated-input-null", "field-warnings-string",
-        "field-warnings-number", "date-basic-form", "date-week-form",
+        "field-warnings-number", "field-warnings-resolved-field", "date-basic-form",
+        "date-week-form",
     ],
 )
 def test_predictions_value_of_the_wrong_type_exits_2_naming_its_line(
@@ -1369,6 +1378,21 @@ def test_reply_that_is_not_json_exits_3_keeping_finished_records(
     assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1"]
 
 
+@pytest.mark.parametrize("content", [None, 5, ["x"]], ids=["null", "number", "list"])
+def test_reply_whose_content_is_not_a_string_exits_3_keeping_finished_records(
+    tmp_path, monkeypatch, capsys, stub_server, content
+):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_FRANCE))] * 2 + [(200, _answer(content))]
+    # One worker takes the documents in order, so d2 gets the bad reply.
+    config = _record_config(tmp_path, monkeypatch, endpoint, concurrency=1)
+    assert main(["--config", str(config), "extract"]) == 3
+    err = capsys.readouterr().err
+    assert endpoint in err and "malformed completion response" in err and "'d2'" in err
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1"]
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
 @pytest.mark.parametrize("scheme", ["", "ftp://"], ids=["no-scheme", "ftp"])
 def test_endpoint_that_is_not_an_http_url_exits_2_before_any_request(
     tmp_path, monkeypatch, capsys, stub_server, scheme
@@ -1485,6 +1509,14 @@ def test_evaluate_writes_all_formats(tmp_path):
     assert csv_lines[0] == "extractor,field,tp,fp,fn,tn,precision,recall,f1"
     assert len(csv_lines) == 1 + 4
     assert csv_lines[1].startswith("rule,disease,3,0,0,0,1.000,1.000,1.000")
+
+
+def test_evaluate_without_a_gold_file_exits_4(tmp_path, capsys):
+    _small_corpus(tmp_path)
+    config = _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}], gold=None)
+    assert main(["--config", str(config), "evaluate"]) == 4
+    assert "error: config has no gold file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_missing_predictions_exits_4(tmp_path, capsys):
@@ -1786,6 +1818,80 @@ def test_extractor_id_outside_the_output_directory_writes_nothing(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "config.json", "corpus.jsonl", "gold.jsonl", "out"
     ]
+
+
+def test_partial_priority_exits_2_naming_the_missing_members(tmp_path, capsys):
+    policy = {"tie_break": "abstain", "priority": ["a"]}
+    path, argv = _edited_config(lambda c: {**c, "extractors": _ensemble_policy(policy)})(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "priority order does not cover members: ['b']" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_config_that_is_not_json_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}])
+    path.write_text('{"corpus": ', encoding="utf-8")
+    assert main(["--config", str(path), "extract"]) == 2
+    assert f"error: {path}: invalid JSON" in capsys.readouterr().err
+
+
+def _corpus_lines(tmp_path, *lines):
+    docs = _small_corpus(tmp_path, n=1)
+    good = json.dumps(docs[0].to_json())
+    (tmp_path / "corpus.jsonl").write_text("".join(f"{line}\n" for line in (good, *lines)))
+    return _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}])
+
+
+def _corpus_doc(**fields):
+    doc = {"id": "d1", "source": "PROMED", "url": None, "published": None, "title": "t"}
+    return json.dumps({**doc, "body": "Measles in France.", **fields})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "[1, 2]", _corpus_doc(id=""), _corpus_doc(source="RSS"), _corpus_doc(body=5),
+        _corpus_doc(url=5),
+    ],
+    ids=["array", "empty-id", "unknown-source", "body-number", "url-number"],
+)
+def test_bad_corpus_line_exits_2_naming_the_file_and_line(tmp_path, capsys, bad):
+    # The blank line is skipped but still counted, so the bad line is line 3.
+    config = _corpus_lines(tmp_path, "", bad)
+    assert main(["--config", str(config), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "corpus.jsonl") in err and "line 3" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_blank_corpus_lines_are_skipped(tmp_path, capsys):
+    config = _corpus_lines(tmp_path, "", "   ", _corpus_doc())
+    assert main(["--config", str(config), "extract"]) == 0
+    assert "rule: 2 records (2 new)" in capsys.readouterr().out
+    assert [r["document_id"] for r in _predictions(tmp_path, "rule")] == ["d0", "d1"]
+
+
+_ONE_PER_CLASS = [
+    (EpixError("generic"), 2), (EmptyInput("empty"), 2), (SchemaError("bad", line=3), 2),
+    (ConfigError("config"), 2), (BudgetExhausted("budget"), 2), (NoIsland("island"), 2),
+    (OSError(errno.ENOSPC, "No space left on device", "f"), 2), (TransportError("t"), 3),
+    (CacheMiss("miss"), 3), (AuthError("auth"), 3), (ExtractionFailed("d1", ValueError("v")), 3),
+    (AlignmentError("align"), 4), (EmptyReport("empty"), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "error, code", _ONE_PER_CLASS, ids=[type(error).__name__ for error, _ in _ONE_PER_CLASS]
+)
+def test_each_error_class_exits_with_its_code(tmp_path, monkeypatch, capsys, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_report", fail)
+    assert main(["report", str(tmp_path / "report.json")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_commands_require_config(capsys):

@@ -88,6 +88,16 @@ def test_don_malformed_markup_is_flagged_not_fatal():
     assert "ok" in doc.body
 
 
+def test_don_script_and_style_text_is_dropped_from_the_body():
+    doc = parse_don_article(
+        "<html><head><style>p { color: red }</style><script>var cases = 99;</script></head>"
+        "<body><p>Cholera in Yemen.</p><script>track('don')</script></body></html>",
+        url="u",
+    )
+    assert doc.body == "Cholera in Yemen."
+    assert doc.warnings == ()
+
+
 def _reference_strip(raw: str) -> str:
     return " ".join(html_stdlib.unescape(re.sub(r"<[^>]+>", " ", raw)).split())
 

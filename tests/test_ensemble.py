@@ -174,6 +174,16 @@ def test_priority_must_cover_members():
         EnsembleConfig("e", MEMBERS, VotePolicy(priority=("m1", "m2")))
 
 
+def test_partial_priority_is_rejected_whatever_the_tie_break():
+    partial = VotePolicy(1, TieBreak.ABSTAIN, ("a",))
+    with pytest.raises(ConfigError, match=r"cover members: \['b'\]"):
+        EnsembleConfig("e", ("a", "b"), partial)
+    for tie_break in TieBreak:
+        policy = VotePolicy(1, tie_break, ("a",))
+        with pytest.raises(ConfigError, match=r"cover members: \['b'\]"):
+            vote_field("disease", [_disease("Ebola"), _disease("Cholera")], policy, ["a", "b"])
+
+
 # --- ensemble_records ---------------------------------------------------------------
 
 
@@ -253,8 +263,6 @@ def test_record_json_roundtrip():
     bare = ExtractionRecord(document_id="d", extractor_id="x", parse_failure=True)
     assert ExtractionRecord.from_json(bare.to_json()) == bare
     # raw retained even when normalization failed
-    warned = ExtractionRecord(
-        document_id="d", extractor_id="x",
-        disease_raw="mystery illness", field_warnings=("disease",),
-    )
+    warned = ExtractionRecord(document_id="d", extractor_id="x", disease_raw="mystery illness")
+    assert warned.field_warnings == ("disease",)
     assert ExtractionRecord.from_json(warned.to_json()) == warned

@@ -180,13 +180,11 @@ def _draw_values(data, pools):
 
 
 def _draw_record(data, doc_id, extractor):
-    values, warnings = {}, []
+    values = {}
     for field, pool in _PRED_VALUES.items():
         raw, value = data.draw(st.sampled_from(pool))
         values[f"{field}_raw"], values[field] = raw, value
-        if raw is not None and value is None:
-            warnings.append(raw)
-    return ExtractionRecord(doc_id, extractor, field_warnings=tuple(warnings), **values)
+    return ExtractionRecord(doc_id, extractor, **values)
 
 
 def _draw_run(data):
@@ -264,8 +262,7 @@ def _records(draw):
         values[field] = draw(st.one_of(st.none(), normalized))
     return ExtractionRecord(
         draw(st.text(min_size=1, max_size=4)), "x",
-        parse_failure=draw(st.booleans()), field_warnings=tuple(draw(st.lists(_TEXT, max_size=2))),
-        **values,
+        parse_failure=draw(st.booleans()), **values,
     )
 
 

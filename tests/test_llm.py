@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epix.corpus import Document, Source
+from epix.corpus import Document, ExtractionRecord, Source, json_line
 from epix.errors import (
     AuthError,
     BudgetExhausted,
@@ -18,6 +18,7 @@ from epix.errors import (
     TransportError,
 )
 from epix.llm import (
+    ABSENT_MARKER,
     ANSWER_RESERVE_TOKENS,
     CHARS_PER_TOKEN,
     MESSAGE_OVERHEAD_TOKENS,
@@ -37,9 +38,11 @@ from epix.llm import (
     extract_json_island,
     extract_with_llm,
     load_template,
+    _stringify,
     parse_fields,
     request_digest,
 )
+from epix.normalize import FIELD_TABLE
 
 
 def _doc(body, doc_id="d1"):
@@ -242,6 +245,55 @@ def test_parse_fields_warns_on_a_numeral_too_long_to_convert(gazetteer):
     record = parse_fields({"virus": "Zika", "cases": "9" * 5000}, "d1", "x", gazetteer)
     assert (record.count, record.count_raw) == (None, "9" * 5000)
     assert record.field_warnings == ("count",)
+
+
+def test_field_warnings_are_derived_never_built():
+    with pytest.raises(TypeError):
+        ExtractionRecord("d1", "x", disease_raw="mystery illness", field_warnings=("disease",))
+    assert "warnings" not in parse_fields.__code__.co_varnames
+    assert "ExtractionRecord" not in extract_with_llm.__code__.co_names
+
+
+def _reference_warnings(field_map, gazetteer):
+    """The reference rule for field warnings, written out field by field: the
+    fields whose answer is present, not the absent marker, and not normalized."""
+    folded = {str(key).casefold(): value for key, value in field_map.items()}
+    warnings = []
+    for name, row in FIELD_TABLE.items():
+        raw = next((folded[key] for key in row.answer_keys if key in folded), None)
+        if raw is not None:
+            raw = _stringify(raw).strip()
+        if not raw or raw.casefold() == ABSENT_MARKER.casefold():
+            continue
+        if row.normalize(raw, gazetteer) is None:
+            warnings.append(name)
+    return tuple(warnings)
+
+
+_ANSWER_KEYS = sorted({key for row in FIELD_TABLE.values() for key in row.answer_keys})
+_ANSWER_VALUES = st.one_of(
+    st.sampled_from([
+        "Ebola", "EVD", "Nipah virus", "India", "Viet Nam", "2019-06-11", "31 May 2018",
+        "15", "about 15 deaths", "mystery illness", "Atlantis", "someday", "many",
+        ABSENT_MARKER, "none", " NONE ", "", "   ", None, True,
+    ]),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12),
+)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(_ANSWER_KEYS).flatmap(lambda key: st.sampled_from([key, key.upper()])),
+        _ANSWER_VALUES,
+        max_size=6,
+    )
+)
+def test_parse_fields_warns_exactly_where_the_reference_rule_did(gazetteer, field_map):
+    record = parse_fields(field_map, "d1", "x", gazetteer)
+    assert record.field_warnings == _reference_warnings(field_map, gazetteer)
+    assert ExtractionRecord.from_json(json.loads(json_line(record))) == record
 
 
 # --- transport: replay, record, retries --------------------------------------------------
