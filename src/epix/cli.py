@@ -300,7 +300,8 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
             source["code"] = rule_based_source_digest()
         if spec.profile is not None:
             source["model"] = {k: v for k, v in vars(spec.profile).items() if k != "endpoint"}
-            source["template"] = spec.template
+            # The scaffold is derived from the template's other fields.
+            source["template"] = {k: v for k, v in vars(spec.template).items() if k != "scaffold"}
             source["sampling"] = sampling
         if spec.ensemble is not None:
             inner = (*within, spec.id)
@@ -392,17 +393,6 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
     return EXIT_OK
 
 
-def _each(docs: Sequence[Document], extract) -> list[ExtractionRecord]:
-    """``extract`` each document in turn; a failure carries the records before it."""
-    done: list[ExtractionRecord] = []
-    for doc in docs:
-        try:
-            done.append(extract(doc))
-        except Exception as exc:
-            raise ExtractionFailed(doc.id, exc, partial_records=done) from exc
-    return done
-
-
 def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     """Run every configured extractor over the corpus, resuming where possible.
 
@@ -432,7 +422,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
         failure = None
         try:
             if spec.kind == RULE_BASED:
-                new = _each(
+                new = llm.extract_each(
                     missing,
                     lambda doc: annotator.extract_rule_based(doc, gazetteer, extractor_id=spec.id),
                 )
@@ -445,7 +435,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
                     gazetteer=gazetteer, concurrency=config.concurrency,
                 )
             else:
-                new = _each(missing, _voter(spec, reuse))
+                new = llm.extract_each(missing, _voter(spec, reuse))
         except ExtractionFailed as exc:
             new, failure = exc.partial_records, exc
         if new or failure is None:

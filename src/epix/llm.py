@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import os
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -34,8 +32,6 @@ from .errors import (
 )
 from .gazetteer import Gazetteer
 from .normalize import FIELD_TABLE
-
-logger = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).parent / "data"
 API_KEY_ENV = "EPIX_API_KEY"
@@ -102,6 +98,9 @@ class PromptTemplate:
     name: str
     instruction: str
     demonstrations: tuple[Demonstration, ...] = ()
+    # The messages before the query and their token overhead, the query's own
+    # framing included: derived from the fields above when the template is made.
+    scaffold: tuple[tuple[dict, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for demo in self.demonstrations:
@@ -110,6 +109,15 @@ class PromptTemplate:
                     f"demonstration answer keys {sorted(demo.answer)} do not match "
                     f"output keys {list(OUTPUT_KEYS)}"
                 )
+        messages: list[dict] = [{"role": "system", "content": self.instruction}]
+        for demo in self.demonstrations:
+            messages.append({"role": "user", "content": demo.excerpt})
+            messages.append({"role": "assistant", "content": _answer_text(demo.answer)})
+        overhead = sum(
+            estimate_tokens(m["content"]) + MESSAGE_OVERHEAD_TOKENS for m in messages
+        )
+        overhead += MESSAGE_OVERHEAD_TOKENS  # framing of the query message itself
+        object.__setattr__(self, "scaffold", (tuple(messages), overhead))
 
     @property
     def shots(self) -> int:
@@ -156,17 +164,11 @@ def build_messages(
 
     The budget is the context window minus a fixed 512-token answer reserve
     and the scaffolding overhead (instruction, demonstrations, per-message
-    framing), at 4 characters per token. The document keeps its head.
+    framing), at 4 characters per token. The document keeps its head. The
+    scaffold messages are the template's own, shared by every build, so a
+    caller must not change them.
     """
-    messages: list[dict] = [{"role": "system", "content": template.instruction}]
-    for demo in template.demonstrations:
-        messages.append({"role": "user", "content": demo.excerpt})
-        messages.append({"role": "assistant", "content": _answer_text(demo.answer)})
-
-    overhead = sum(
-        estimate_tokens(m["content"]) + MESSAGE_OVERHEAD_TOKENS for m in messages
-    )
-    overhead += MESSAGE_OVERHEAD_TOKENS  # framing of the query message itself
+    scaffold, overhead = template.scaffold
     budget_tokens = profile.context_length - ANSWER_RESERVE_TOKENS - overhead
     if budget_tokens <= 0:
         raise BudgetExhausted(
@@ -175,8 +177,8 @@ def build_messages(
         )
     max_chars = budget_tokens * CHARS_PER_TOKEN
     truncated = len(doc.body) > max_chars
-    messages.append({"role": "user", "content": doc.body[:max_chars]})
-    return PromptBuild(messages=tuple(messages), truncated=truncated)
+    messages = (*scaffold, {"role": "user", "content": doc.body[:max_chars]})
+    return PromptBuild(messages=messages, truncated=truncated)
 
 
 # --- transport -------------------------------------------------------------
@@ -221,14 +223,17 @@ class Transport:
             self.cache_dir = Path(self.cache_dir)
 
     def cache_path(self, digest: str) -> Path:
-        return Path(self.cache_dir) / f"{digest}.json"
+        return self.cache_dir / f"{digest}.json"
 
     def read_cached(self, digest: str) -> Optional[dict]:
         path = self.cache_path(digest)
-        if not path.exists():
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
             return None
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            # Decoded first: json.loads would take UTF-16 and UTF-32 bytes as well.
+            entry = json.loads(data.decode("utf-8"))
         except UnicodeDecodeError:
             raise TransportError(f"{path}: corrupt cache entry (invalid UTF-8)") from None
         except json.JSONDecodeError as exc:
@@ -324,6 +329,13 @@ def _endpoint_address(endpoint: str) -> tuple[bool, str, int, str]:
     return https, parts.hostname, port, target
 
 
+def _warn(message: str, *args) -> None:
+    # Imported here so that runs where no attempt fails never pay for loading it.
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 @functools.cache
 def _tls_context():
     """The default client context, certificates checked; built once, as it loads the CA store."""
@@ -377,7 +389,7 @@ def complete(
             status, data = response.status, response.read()
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
-            logger.warning("attempt %d/%d failed: %s", attempt + 1, transport.max_attempts, exc)
+            _warn("attempt %d/%d failed: %s", attempt + 1, transport.max_attempts, exc)
             continue
         except ValueError:  # a refused Authorization header; the message would show the key
             raise ConfigError(
@@ -394,9 +406,7 @@ def complete(
             if status not in _RETRYABLE_STATUSES:
                 raise error
             last_error = error
-            logger.warning(
-                "attempt %d/%d got HTTP %d", attempt + 1, transport.max_attempts, status
-            )
+            _warn("attempt %d/%d got HTTP %d", attempt + 1, transport.max_attempts, status)
             continue
         try:
             response_body = json.loads(data)
@@ -500,6 +510,23 @@ def extract_with_llm(
     return record
 
 
+def extract_each(
+    docs: Sequence[Document], extract: Callable[[Document], ExtractionRecord]
+) -> list[ExtractionRecord]:
+    """``extract`` each document in turn, in the calling thread, in document order.
+
+    The first failure raises ExtractionFailed carrying its cause and the
+    records finished before it, so callers can persist progress.
+    """
+    done: list[ExtractionRecord] = []
+    for doc in docs:
+        try:
+            done.append(extract(doc))
+        except Exception as exc:
+            raise ExtractionFailed(doc.id, exc, partial_records=done) from exc
+    return done
+
+
 def extract_documents(
     docs: Sequence[Document],
     model: ModelProfile,
@@ -510,24 +537,31 @@ def extract_documents(
     gazetteer: Gazetteer | None = None,
     concurrency: int = 4,
 ) -> list[ExtractionRecord]:
-    """Extract a batch with bounded in-flight requests, preserving doc order.
+    """Extract a batch, preserving doc order.
 
-    On any failure the batch stops and raises ExtractionFailed carrying the
-    cause and every record completed so far, so callers can persist progress.
+    Replay, and any mode at ``concurrency`` 1, runs ``extract_each`` in the
+    calling thread: nothing waits on the network, so a pool would only add
+    hand-offs. Record and live mode keep up to ``concurrency`` requests in
+    flight. On any failure the batch stops and raises ExtractionFailed
+    carrying the cause and every record completed so far, so callers can
+    persist progress.
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
+
+    def one(doc: Document) -> ExtractionRecord:
+        return extract_with_llm(doc, model, template, transport, sampling, extractor_id, gazetteer)
+
+    if transport.mode is TransportMode.REPLAY or concurrency == 1:
+        return extract_each(docs, one)
+
+    # Imported here so that runs without overlapping requests never pay for loading it.
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     results: dict[str, ExtractionRecord] = {}
     failure: tuple[str, Exception] | None = None
-
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = {
-            pool.submit(
-                extract_with_llm, doc, model, template, transport,
-                sampling, extractor_id, gazetteer,
-            ): doc
-            for doc in docs
-        }
+        futures = {pool.submit(one, doc): doc for doc in docs}
         _, pending = wait(futures, return_when=FIRST_EXCEPTION)
         for future in pending:
             future.cancel()

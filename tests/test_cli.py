@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -232,7 +233,7 @@ def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys, entry):
     )
     corrupt = transport.cache_path(digests[-1])
     corrupt.write_bytes(entry)
-    # One worker takes the documents in order, so the corrupt entry is read last.
+    # At concurrency 1 the documents run in turn, so the corrupt entry is read last.
     config = _write_config(
         tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "zero-shot"}],
         concurrency=1,
@@ -885,7 +886,7 @@ def test_predictions_file_without_sidecar_is_adopted_once(tmp_path, capsys):
 def test_failure_on_one_document_keeps_the_finished_records(tmp_path, monkeypatch, capsys):
     docs = _small_corpus(tmp_path)
     _seed_cache(tmp_path, docs, _FRANCE)
-    # One worker takes the documents in order, so d2 fails after d0 and d1 are done.
+    # At concurrency 1 the documents run in turn, so d2 fails after d0 and d1 are done.
     config = _write_config(
         tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}], concurrency=1
     )
@@ -914,6 +915,68 @@ def test_failure_on_one_document_keeps_the_finished_records(tmp_path, monkeypatc
     assert main(["--config", str(config), "extract"]) == 0
     assert parsed == ["d2"]
     assert "m: 3 records (1 new)" in capsys.readouterr().out
+
+
+def test_replay_cache_miss_mid_batch_commits_only_the_documents_before_it(tmp_path, capsys):
+    docs = _small_corpus(tmp_path)
+    digests, transport = _seed_cache(tmp_path, docs, _FRANCE)
+    transport.cache_path(digests[1]).unlink()
+    # Replay takes the documents in turn whatever the concurrency, so d1 stops the batch.
+    config = _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}], concurrency=4
+    )
+    assert main(["--config", str(config), "extract"]) == CacheMiss.exit_code
+    assert digests[1] in capsys.readouterr().err
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0"]
+    assert [row[0] for row in _journal(_state_file(tmp_path, "m"))[1]] == ["d0"]
+    kept = _predictions_file(tmp_path, "m").read_bytes()
+
+    _seed_cache(tmp_path, docs[1:2], _FRANCE)
+    assert main(["--config", str(config), "extract"]) == 0
+    assert "m: 3 records (2 new)" in capsys.readouterr().out
+    assert _predictions_file(tmp_path, "m").read_bytes().startswith(kept)
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1", "d2"]
+
+
+def test_replay_extract_starts_no_thread(tmp_path, monkeypatch, gazetteer):
+    docs = _small_corpus(tmp_path)
+    _seed_cache(tmp_path, docs, _FRANCE)
+    config = _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}], concurrency=4
+    )
+
+    def refused(thread):
+        raise AssertionError(f"replay started thread {thread.name}")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(threading.Thread, "start", refused)
+        assert main(["--config", str(config), "extract"]) == 0
+    profile, template = default_registry()["gpt-4-32k"], load_template("zero-shot")
+    transport = Transport(mode=TransportMode.REPLAY, cache_dir=tmp_path / "cache")
+    expected = b"".join(
+        json_line(llm.extract_with_llm(doc, profile, template, transport, Sampling(), "m", gazetteer))
+        for doc in docs
+    )
+    assert _predictions_file(tmp_path, "m").read_bytes() == expected
+
+
+def test_replay_extract_loads_neither_the_pool_nor_logging_nor_http(tmp_path):
+    docs = _small_corpus(tmp_path)
+    _seed_cache(tmp_path, docs, _FRANCE)
+    config = _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}], concurrency=4
+    )
+    probe = (
+        "import sys, epix.cli; code = epix.cli.main(['--config', sys.argv[1], 'extract']); "
+        "print(code, [m for m in ('concurrent.futures', 'logging', 'http.client') "
+        "if m in sys.modules])"
+    )
+    src = Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(config)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout
 
 
 def test_resume_of_one_document_decodes_no_record_and_encodes_one_per_extractor(
@@ -1313,13 +1376,39 @@ def test_reextract_after_any_edits_writes_what_a_clean_extract_writes(steps):
                 assert written == (clean / path).read_bytes(), (step.__name__, args, path)
 
 
+def test_model_fingerprint_covers_the_template_fields_not_its_scaffold(tmp_path):
+    config = load_run_config(_write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"}]
+    ))
+    template = config.extractors[0].template
+    source = {
+        "kind": "llm",
+        "model": {
+            "name": "gpt-4-32k", "context_length": 32768, "parameter_count": None,
+            "kind": "COMMERCIAL",
+        },
+        "template": {
+            "name": "three-shot",
+            "instruction": template.instruction,
+            "demonstrations": [
+                {"excerpt": demo.excerpt, "answer": dict(demo.answer)}
+                for demo in template.demonstrations
+            ],
+        },
+        "sampling": {"temperature": 0.0, "max_tokens": 512},
+    }
+    canonical = json.dumps(source, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert config.fingerprints["m"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def test_loading_a_config_does_not_import_requests(tmp_path):
     config = _write_config(
         tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"}]
     )
     probe = (
         "import sys, epix.cli; epix.cli.load_run_config(sys.argv[1]); "
-        "print([m for m in ('requests', 'http.client') if m in sys.modules])"
+        "print([m for m in ('requests', 'http.client', 'concurrent.futures', 'logging') "
+        "if m in sys.modules])"
     )
     src = Path(__file__).parents[1] / "src"
     done = subprocess.run(
@@ -1364,12 +1453,32 @@ def test_record_extract_runs_without_requests(tmp_path, monkeypatch, stub_server
     assert len(list((tmp_path / "cache").glob("*.json"))) == 3
 
 
+def test_record_extract_at_concurrency_2_runs_through_the_pool(
+    tmp_path, monkeypatch, stub_server
+):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_FRANCE))]
+    config = _record_config(tmp_path, monkeypatch, endpoint, concurrency=2)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    assert main(["--config", str(config), "extract"]) == 0
+    assert any(name.startswith("ThreadPoolExecutor") for name in started), started
+    assert len(handler.seen) == 3
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1", "d2"]
+
+
 def test_reply_that_is_not_json_exits_3_keeping_finished_records(
     tmp_path, monkeypatch, capsys, stub_server
 ):
     handler, endpoint = stub_server
     handler.responses = [(200, _answer(_FRANCE))] * 2 + [(200, b"<html>busy</html>")]
-    # One worker takes the documents in order, so d2 gets the bad reply.
+    # At concurrency 1 the documents run in turn, so d2 gets the bad reply.
     config = _record_config(tmp_path, monkeypatch, endpoint, concurrency=1)
     assert main(["--config", str(config), "extract"]) == 3
     err = capsys.readouterr().err
@@ -1384,7 +1493,7 @@ def test_reply_whose_content_is_not_a_string_exits_3_keeping_finished_records(
 ):
     handler, endpoint = stub_server
     handler.responses = [(200, _answer(_FRANCE))] * 2 + [(200, _answer(content))]
-    # One worker takes the documents in order, so d2 gets the bad reply.
+    # At concurrency 1 the documents run in turn, so d2 gets the bad reply.
     config = _record_config(tmp_path, monkeypatch, endpoint, concurrency=1)
     assert main(["--config", str(config), "extract"]) == 3
     err = capsys.readouterr().err

@@ -374,6 +374,19 @@ def test_record_mode_writes_cache_then_replays(stub_server, monkeypatch, tmp_pat
     assert len(handler.seen) == 1
 
 
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-32"])
+def test_cache_entry_in_another_unicode_encoding_is_corrupt(tmp_path, encoding):
+    transport = Transport(mode=TransportMode.REPLAY, cache_dir=tmp_path)
+    digest = request_digest("m", [{"role": "user", "content": "q"}], Sampling())
+    entry = {"digest": digest, "request": {}, "response": _ok_body("answer")}
+    path = transport.cache_path(digest)
+    path.write_bytes(json.dumps(entry).encode(encoding))  # with a byte order mark
+    assert json.loads(path.read_bytes()) == entry  # which json.loads alone would take
+    with pytest.raises(TransportError, match=r"corrupt cache entry \(invalid UTF-8\)") as excinfo:
+        transport.read_cached(digest)
+    assert str(path) in str(excinfo.value)
+
+
 def _live(endpoint, max_attempts=3):
     transport = Transport(mode=TransportMode.LIVE, max_attempts=max_attempts, backoff_base=0.0)
     return transport, ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
