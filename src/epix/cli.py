@@ -12,10 +12,8 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
@@ -74,19 +72,21 @@ class ExtractorSpec:
 
 @dataclass
 class RunConfig:
+    """A loaded run config; only ``_parse_run_config`` builds one, from ``_CONFIG``."""
+
     corpus: Path
     gold: Optional[Path]
     output_dir: Path
     extractors: list[ExtractorSpec]
-    match_mode: MatchMode = MatchMode.STRICT_VALUE
-    transport_mode: TransportMode = TransportMode.REPLAY
-    cache_dir: Optional[Path] = None
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    concurrency: int = 4
-    sampling: Sampling = field(default_factory=Sampling)
+    match_mode: MatchMode
+    transport_mode: TransportMode
+    cache_dir: Optional[Path]
+    max_attempts: int
+    backoff_base: float
+    concurrency: int
+    sampling: Sampling
     # Each extractor's fingerprint (see ``_fingerprints``); members come before their ensembles.
-    fingerprints: dict[str, str] = field(default_factory=dict)
+    fingerprints: dict[str, str]
 
     def predictions_path(self, extractor_id: str) -> Path:
         return self.output_dir / "predictions" / f"{extractor_id}.jsonl"
@@ -96,66 +96,105 @@ class RunConfig:
         return self.output_dir / "state" / f"{extractor_id}.json"
 
     def transport(self) -> Transport:
-        return Transport(
-            mode=self.transport_mode,
-            cache_dir=self.cache_dir,
-            max_attempts=self.max_attempts,
-            backoff_base=self.backoff_base,
-        )
+        return Transport(self.transport_mode, self.cache_dir, self.max_attempts, self.backoff_base)
 
 
-def _number(
-    section: dict, name: str, default: float, *, integer: bool, minimum: float | None = None
-) -> float:
-    """The config value ``name`` (``section.key``) checked to be a number, never a bool.
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its kind, its default when left out, and its lower bound.
 
-    An integer when ``integer``; a float must be finite.
+    A kind is ``str``; ``int``; ``float`` (finite, read as a float); an Enum or
+    a tuple of names (a string naming one, in any case, with ``-`` for ``_``);
+    ``_IDS``; a dict of keys (an object that takes just those); ``[kind]`` (a
+    list); or ``_ENTRIES`` (an object that takes the keys of its ``kind``).
+    Defaults are checked like given values. A key whose default is None may
+    be ``null``; a ``_REQUIRED`` one must be given and not be empty.
     """
-    value = section.get(name.rpartition(".")[2], default)
-    ok = (
-        isinstance(value, int if integer else (int, float))
-        and not isinstance(value, bool)
-        and (isinstance(value, int) or math.isfinite(value))
-        and (minimum is None or value >= minimum)
-    )
-    if not ok:
-        kind = "an integer" if integer else "a finite number"
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigError(f"{name} must be {kind}{bound}, got {value!r}")
-    return value
+
+    kind: object
+    default: object = None
+    minimum: Optional[float] = None
 
 
-def _ids(section: dict, name: str, default: list[str]) -> tuple[str, ...]:
-    """The config value ``name`` (``section.key``) checked to be a list of extractor ids."""
-    value = section.get(name.rpartition(".")[2], default)
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ConfigError(f"{name} must be a list of extractor ids, got {value!r}")
-    return tuple(value)
+_REQUIRED = object()
+_IDS = "a list of extractor ids"
+_NAME = _Key(str, _REQUIRED)
+_KIND = _Key((RULE_BASED, LLM, ENSEMBLE), _REQUIRED)
+_ENTRIES = {
+    RULE_BASED: {"id": _NAME, "kind": _KIND},
+    LLM: {"id": _NAME, "kind": _KIND, "model": _NAME, "template": _Key(str, "zero-shot")},
+    ENSEMBLE: {"id": _NAME, "kind": _KIND, "members": _Key(_IDS, _REQUIRED), "policy": _Key({
+        "min_agreement": _Key(int, VotePolicy.min_agreement, minimum=1),
+        "tie_break": _Key(TieBreak, VotePolicy.tie_break),
+        "priority": _Key(_IDS),  # left out: the members, in order
+    }, {})},
+}
+_CONFIG = {
+    "corpus": _NAME,
+    "gold": _Key(str),
+    "output_dir": _Key(str, "out"),
+    "match_mode": _Key(MatchMode, MatchMode.STRICT_VALUE),
+    "concurrency": _Key(int, 4, minimum=1),
+    "transport": _Key({
+        "mode": _Key(TransportMode, TransportMode.REPLAY),
+        "cache_dir": _Key(str),
+        "max_attempts": _Key(int, Transport.max_attempts, minimum=1),
+        "backoff_base": _Key(float, Transport.backoff_base, minimum=0),
+    }, {}),
+    "sampling": _Key({
+        "temperature": _Key(float, Sampling.temperature),
+        "max_tokens": _Key(int, Sampling.max_tokens, minimum=1),
+    }, {}),
+    "extractors": _Key([_ENTRIES], []),
+}
+_JSON = {dict: "a JSON object", list: "a JSON list", str: "a JSON string"}
 
 
-def _checked(value, name: str, kind: type):
-    """``value``, the config value ``name``, checked to be a JSON object, list or string."""
-    if not isinstance(value, kind):
-        expected = {dict: "a JSON object", list: "a JSON list", str: "a JSON string"}[kind]
-        raise ConfigError(f"{name} must be {expected}, got {value!r}")
-    return value
-
-
-def _choice(section: dict, name: str, default: str, choices: type[Enum]):
-    """The config value ``name`` (``section.key``) checked to be one of ``choices``, any case."""
-    value = section.get(name.rpartition(".")[2], default)
-    if not isinstance(value, str) or value.upper() not in {c.value for c in choices}:
-        allowed = ", ".join(c.value.lower() for c in choices)
-        raise ConfigError(f"{name} must be a JSON string, one of {allowed}; got {value!r}")
-    return choices(value.upper())
-
-
-def _parse_policy(data: dict, members: Sequence[str]) -> VotePolicy:
-    return VotePolicy(
-        min_agreement=_number(data, "policy.min_agreement", 2, integer=True, minimum=1),
-        tie_break=_choice(data, "policy.tie_break", "priority_order", TieBreak),
-        priority=_ids(data, "policy.priority", list(members)),
-    )
+def _walk(value, key: _Key, path: str):
+    """``value``, the config value at ``path``, checked against ``key``, defaults filled in."""
+    kind = key.kind
+    if value is None and key.default is None:
+        return None
+    where = path or "the top level"
+    expected = type(kind) if isinstance(kind, (dict, list)) else kind
+    if expected in _JSON and type(value) is not expected:
+        raise ConfigError(f"{where} must be {_JSON[expected]}, got {value!r}")
+    if isinstance(kind, dict):
+        if kind is _ENTRIES:
+            kind = _ENTRIES[_walk(value.get("kind"), _KIND, f"{path}.kind")]
+        prefix = f"{path}." if path else ""
+        unknown = [name for name in value if name not in kind]
+        if unknown:
+            allowed = ", ".join(kind)
+            raise ConfigError(f"{prefix}{unknown[0]} is not a config key; {where} takes {allowed}")
+        checked = {}
+        for name, row in kind.items():
+            if row.default is _REQUIRED and not value.get(name):
+                raise ConfigError(f"{prefix}{name} is required")
+            checked[name] = _walk(value.get(name, row.default), row, prefix + name)
+        return checked
+    if isinstance(kind, list):
+        return [_walk(v, _Key(kind[0], _REQUIRED), f"{path}[{i}]") for i, v in enumerate(value)]
+    if kind is _IDS:
+        if type(value) is list and all(type(v) is str for v in value):
+            return tuple(value)
+        raise ConfigError(f"{path} must be {_IDS}, got {value!r}")
+    if kind is int or kind is float:
+        # ``type`` keeps out ``true`` and ``false``; a float must be finite.
+        if type(value) in (int, kind) and (kind is int or abs(value) <= sys.float_info.max) and (
+            key.minimum is None or value >= key.minimum
+        ):
+            return kind(value)
+        number = "an integer" if kind is int else "a finite number"
+        bound = "" if key.minimum is None else f" >= {key.minimum}"
+        raise ConfigError(f"{path} must be {number}{bound}, got {value!r}")
+    if kind is str:
+        return value
+    names = kind if isinstance(kind, tuple) else tuple(choice.value.lower() for choice in kind)
+    name = value.lower().replace("-", "_") if isinstance(value, str) else None
+    if name not in names:
+        raise ConfigError(f"{path} must be a JSON string, one of {', '.join(names)}; got {value!r}")
+    return name if isinstance(kind, tuple) else kind(name.upper())
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -170,81 +209,47 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def _parse_run_config(data) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("the top level must be a JSON object")
-    registry = default_registry()
+    config = _walk(data, _Key(_CONFIG), "")
+    ids = [entry["id"] for entry in config["extractors"]]
     extractors: list[ExtractorSpec] = []
-    seen_ids: set[str] = set()
-    for i, entry in enumerate(_checked(data.get("extractors", []), "extractors", list)):
-        extractor_id = _checked(entry, f"extractors[{i}]", dict).get("id")
-        if not extractor_id:
-            raise ConfigError("every extractor needs an id")
+    for i, entry in enumerate(config["extractors"]):
+        spec = ExtractorSpec(entry["id"], entry["kind"])
         # The id names the predictions file, so it must stay a single file name.
-        if (
-            not isinstance(extractor_id, str)
-            or extractor_id in (".", "..")
-            or any(c in extractor_id for c in "/\\\0")
-        ):
-            raise ConfigError(f"extractor id must be a plain file name, got {extractor_id!r}")
-        if extractor_id in seen_ids:
-            raise ConfigError(f"duplicate extractor id {extractor_id!r}")
-        seen_ids.add(extractor_id)
-        kind = str(entry.get("kind", "")).lower().replace("-", "_")
-        if kind == RULE_BASED:
-            extractors.append(ExtractorSpec(extractor_id, kind))
-        elif kind == LLM:
-            model = entry.get("model")
-            if not model:
-                raise ConfigError(f"extractor {extractor_id!r}: llm kind needs a model")
-            profile = registry.get(_checked(model, f"extractors[{i}].model", str))
-            if profile is None:
-                raise ConfigError(f"extractor {extractor_id!r}: unknown model profile {model!r}")
-            try:
-                template = load_template(entry.get("template", "zero-shot"))
-            except ConfigError as exc:
-                raise ConfigError(f"extractor {extractor_id!r}: {exc}") from None
-            extractors.append(ExtractorSpec(extractor_id, kind, profile=profile, template=template))
-        elif kind == ENSEMBLE:
-            # EnsembleConfig validates member count, distinctness and priority coverage.
-            members = _ids(entry, "members", [])
-            policy = _parse_policy(_checked(entry.get("policy", {}), "policy", dict), members)
-            ensemble = EnsembleConfig(extractor_id, members, policy)
-            extractors.append(ExtractorSpec(extractor_id, kind, ensemble=ensemble))
-        else:
-            raise ConfigError(f"extractor {extractor_id!r}: unknown kind {entry.get('kind')!r}")
+        if spec.id in (".", "..") or any(c in spec.id for c in "/\\\0"):
+            raise ConfigError(f"extractors[{i}].id must be a plain file name, got {spec.id!r}")
+        if spec.id in ids[:i]:
+            raise ConfigError(f"duplicate extractor id {spec.id!r}")
+        try:
+            if spec.kind == LLM:
+                profile = default_registry().get(entry["model"])
+                if profile is None:
+                    raise ConfigError(f"unknown model profile {entry['model']!r}")
+                spec = replace(spec, profile=profile, template=load_template(entry["template"]))
+            elif spec.kind == ENSEMBLE:
+                members, policy = entry["members"], entry["policy"]
+                dangling = [m for m in members if m not in ids or m == spec.id]
+                if dangling:
+                    raise ConfigError(f"ensemble {spec.id!r} has undeclared members: {dangling}")
+                if policy["priority"] is None:
+                    policy["priority"] = members
+                # EnsembleConfig validates member count, distinctness and priority coverage.
+                ensemble = EnsembleConfig(spec.id, members, VotePolicy(**policy))
+                spec = replace(spec, ensemble=ensemble)
+        except ConfigError as exc:
+            raise ConfigError(f"extractors[{i}]: {exc}") from None
+        extractors.append(spec)
 
-    for spec in extractors:
-        if spec.ensemble is not None:
-            dangling = [m for m in spec.ensemble.members if m not in seen_ids or m == spec.id]
-            if dangling:
-                raise ConfigError(
-                    f"ensemble {spec.id!r} references undeclared members: {dangling}"
-                )
-
-    if not data.get("corpus"):
-        raise ConfigError("config needs a corpus path")
-    transport = _checked(data.get("transport", {}), "transport", dict)
-    mode = _choice(transport, "transport.mode", "replay", TransportMode)
-    cache_dir = transport.get("cache_dir")
-    sampling = _checked(data.get("sampling", {}), "sampling", dict)
-    config = RunConfig(
-        corpus=Path(_checked(data["corpus"], "corpus", str)),
-        gold=Path(_checked(data["gold"], "gold", str)) if data.get("gold") else None,
-        output_dir=Path(_checked(data.get("output_dir", "out"), "output_dir", str)),
-        extractors=extractors,
-        match_mode=_choice(data, "match_mode", "strict_value", MatchMode),
-        transport_mode=mode,
-        cache_dir=Path(_checked(cache_dir, "transport.cache_dir", str)) if cache_dir else None,
-        max_attempts=_number(transport, "transport.max_attempts", 3, integer=True, minimum=1),
-        backoff_base=_number(transport, "transport.backoff_base", 0.5, integer=False, minimum=0),
-        concurrency=_number(data, "concurrency", 4, integer=True, minimum=1),
-        sampling=Sampling(
-            temperature=_number(sampling, "sampling.temperature", 0.0, integer=False),
-            max_tokens=_number(sampling, "sampling.max_tokens", 512, integer=True, minimum=1),
-        ),
+    transport = config["transport"]
+    sampling = Sampling(**config["sampling"])
+    return RunConfig(
+        corpus=Path(config["corpus"]), gold=Path(config["gold"]) if config["gold"] else None,
+        output_dir=Path(config["output_dir"]), extractors=extractors,
+        match_mode=config["match_mode"], concurrency=config["concurrency"],
+        transport_mode=transport["mode"],
+        cache_dir=Path(transport["cache_dir"]) if transport["cache_dir"] else None,
+        max_attempts=transport["max_attempts"], backoff_base=transport["backoff_base"],
+        sampling=sampling, fingerprints=_fingerprints(extractors, sampling),
     )
-    config.fingerprints = _fingerprints(extractors, config.sampling)
-    return config
 
 
 # The modules whose code decides a rule-based record, and a corpus line.
@@ -579,14 +584,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.output:
-        config.output_dir = args.output
-    if args.mode:
-        config.transport_mode = TransportMode(args.mode.upper())
-    return config
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -596,7 +593,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_report(args.report_path, args.format, args.out)
         if not args.config:
             raise ConfigError("--config is required for this command")
-        config = _apply_overrides(load_run_config(args.config), args)
+        config = load_run_config(args.config)
+        config.output_dir = args.output or config.output_dir
+        config.transport_mode = TransportMode((args.mode or config.transport_mode).upper())
         if args.command == "extract":
             ids = {spec.id for spec in config.extractors}
             unknown = [extractor_id for extractor_id in args.only or () if extractor_id not in ids]

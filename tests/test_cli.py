@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from epix.errors import (
     EpixError, ExtractionFailed, NoIsland, SchemaError, TransportError,
 )
 from epix.evaluation import MatchMode
+from epix.gazetteer import bundled_digest
 from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
 
 
@@ -1401,14 +1403,52 @@ def test_model_fingerprint_covers_the_template_fields_not_its_scaffold(tmp_path)
     assert config.fingerprints["m"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _fingerprint_of(source):
+    canonical = json.dumps(source, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_rule_based_fingerprint_covers_the_gazetteer_and_the_code(tmp_path):
+    config = load_run_config(_write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}]))
+    source = {
+        "kind": "rule_based",
+        "gazetteer": bundled_digest(),
+        "code": cli.rule_based_source_digest(),
+    }
+    assert config.fingerprints["rule"] == _fingerprint_of(source)
+
+
+def test_ensemble_fingerprint_covers_its_members_and_its_policy(tmp_path):
+    policy = {"min_agreement": 1, "tie_break": "abstain", "priority": ["b", "a"]}
+    config = load_run_config(_write_config(tmp_path, _ensemble_policy(policy)))
+    source = {
+        "kind": "ensemble",
+        "members": ["a", "b"],
+        "policy": {"min_agreement": 1, "tie_break": "ABSTAIN", "priority": ["b", "a"]},
+    }
+    assert config.fingerprints["ab"] == _fingerprint_of(source)
+
+
+@pytest.mark.parametrize("temperature", [0, 0.0], ids=["int", "float"])
+def test_integer_temperature_keys_requests_as_the_default_sampling(tmp_path, temperature):
+    extractors = [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}]
+    plain = load_run_config(_write_config(tmp_path, extractors))
+    config = load_run_config(_write_config(tmp_path, extractors, sampling={"temperature": temperature}))
+    assert config.fingerprints == plain.fingerprints
+    messages = [{"role": "user", "content": "Measles in France."}]
+    assert llm.request_digest("gpt-4-32k", messages, config.sampling) == llm.request_digest(
+        "gpt-4-32k", messages, Sampling()
+    )
+
+
 def test_loading_a_config_does_not_import_requests(tmp_path):
     config = _write_config(
         tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"}]
     )
     probe = (
         "import sys, epix.cli; epix.cli.load_run_config(sys.argv[1]); "
-        "print([m for m in ('requests', 'http.client', 'concurrent.futures', 'logging') "
-        "if m in sys.modules])"
+        "print([m for m in ('requests', 'http.client', 'concurrent.futures', 'logging', "
+        "'difflib') if m in sys.modules])"
     )
     src = Path(__file__).parents[1] / "src"
     done = subprocess.run(
@@ -1729,16 +1769,23 @@ def _edited_config(edit):
     return make
 
 
-def _bad_ensemble(key, **fields):
-    """A config whose ensemble of ``a`` and ``b`` has ``fields``; the error names ``key``."""
+def _bad_ensemble(said, **fields):
+    """A config whose ensemble of ``a`` and ``b`` (``extractors[2]``) has ``fields``.
+
+    The error, after the config's path, reads ``said``.
+    """
 
     def make(tmp_path):
         ensemble = {"id": "ab", "kind": "ensemble", "members": ["a", "b"], **fields}
         extractors = [{"id": "a", "kind": "rule_based"}, {"id": "b", "kind": "rule_based"}, ensemble]
         path, argv = _edited_config(lambda c: {**c, "extractors": extractors})(tmp_path)
-        return f"{path}: {key} must be a list of extractor ids", argv
+        return f"{path}: {said}", argv
 
     return make
+
+
+def _not_ids(key):
+    return f"extractors[2].{key} must be a list of extractor ids"
 
 
 def _torn_report(tmp_path):
@@ -1798,11 +1845,17 @@ def _edited_report(edit):
                 ],
             }
         ),
-        _bad_ensemble("members", members="ab"),
-        _bad_ensemble("members", members={"a": 1, "b": 2}),
-        _bad_ensemble("members", members=["a", "b", 3], policy={"priority": ["b", "a"]}),
-        _bad_ensemble("policy.priority", policy={"priority": "ba"}),
-        _bad_ensemble("policy.priority", policy={"priority": ["b", "a", 3]}),
+        _bad_ensemble(_not_ids("members"), members="ab"),
+        _bad_ensemble(_not_ids("members"), members={"a": 1, "b": 2}),
+        _bad_ensemble(_not_ids("members"), members=["a", "b", 3], policy={"priority": ["b", "a"]}),
+        _bad_ensemble(_not_ids("policy.priority"), policy={"priority": "ba"}),
+        _bad_ensemble(_not_ids("policy.priority"), policy={"priority": ["b", "a", 3]}),
+        _bad_ensemble("extractors[2]: ensemble members must be distinct", members=["a", "a"]),
+        _bad_ensemble("extractors[2]: an ensemble needs at least 2 members", members=["a"]),
+        _bad_ensemble(
+            "extractors[2]: min_agreement cannot exceed the member count",
+            policy={"min_agreement": 3},
+        ),
         _edited_config(lambda c: [c]),
         *(
             _edited_config(lambda c, bad=bad: {**c, "extractors": [{"id": bad, "kind": "rule_based"}]})
@@ -1819,7 +1872,8 @@ def _edited_report(edit):
     ids=[
         "match-mode", "transport-mode", "tie-break", "min-agreement", "ensemble-cycle",
         "members-string", "members-object", "members-number", "priority-string",
-        "priority-number", "top-level-list",
+        "priority-number", "members-twice", "one-member", "min-agreement-above-members",
+        "top-level-list",
         "id-parent", "id-dot", "id-escape", "id-slash", "id-backslash", "id-absolute",
         "id-nul", "id-number", "id-list",
         "torn-report", "report-cell-missing", "report-extractor-without-cells",
@@ -1847,8 +1901,11 @@ def _ensemble_policy(policy):
         (lambda c: {**c, "extractors": [{"id": "a", "kind": "rule_based"}, None]}, "extractors[1]"),
         (lambda c: {**c, "transport": "x"}, "transport"),
         (lambda c: {**c, "sampling": []}, "sampling"),
-        (lambda c: {**c, "extractors": _ensemble_policy("x")}, "policy"),
-        (lambda c: {**c, "extractors": _ensemble_policy({"tie_break": 5})}, "policy.tie_break"),
+        (lambda c: {**c, "extractors": _ensemble_policy("x")}, "extractors[2].policy"),
+        (
+            lambda c: {**c, "extractors": _ensemble_policy({"tie_break": 5})},
+            "extractors[2].policy.tie_break",
+        ),
         (
             lambda c: {**c, "extractors": [{"id": "m", "kind": "llm", "model": ["x"]}]},
             "extractors[0].model",
@@ -1880,12 +1937,12 @@ def test_config_section_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsy
         (lambda c: {**c, "transport": {"mode": "psy"}}, "transport.mode", "live, record, replay"),
         (
             lambda c: {**c, "extractors": _ensemble_policy({"tie_break": "coin"})},
-            "policy.tie_break",
+            "extractors[2].policy.tie_break",
             "priority_order, abstain",
         ),
         (
             lambda c: {**c, "extractors": _ensemble_policy({"tie_break": ["abstain"]})},
-            "policy.tie_break",
+            "extractors[2].policy.tie_break",
             "priority_order, abstain",
         ),
     ],
@@ -1916,6 +1973,100 @@ def test_config_choices_load_in_any_case(tmp_path):
     assert config.match_mode is MatchMode.DETECTION_ONLY
     assert config.transport_mode is TransportMode.LIVE
     assert config.extractors[2].ensemble.policy.tie_break is TieBreak.ABSTAIN
+
+
+_TOP_KEYS = "corpus, gold, output_dir, match_mode, concurrency, transport, sampling, extractors"
+
+
+@pytest.mark.parametrize(
+    "edit, key, where, allowed",
+    [
+        (lambda c: {**c, "concurency": 0}, "concurency", "the top level", _TOP_KEYS),
+        (lambda c: {**c, "transprot": {"mode": "live"}}, "transprot", "the top level", _TOP_KEYS),
+        (
+            lambda c: {**c, "transport": {**c["transport"], "max_attempt": 9}},
+            "transport.max_attempt", "transport", "mode, cache_dir, max_attempts, backoff_base",
+        ),
+        (
+            lambda c: {**c, "sampling": {"temprature": 0.7}},
+            "sampling.temprature", "sampling", "temperature, max_tokens",
+        ),
+        (
+            lambda c: {**c, "extractors": [{"id": "rule", "kind": "rule_based", "modle": "x"}]},
+            "extractors[0].modle", "extractors[0]", "id, kind",
+        ),
+        (
+            lambda c: {
+                **c,
+                "extractors": [
+                    {"id": "rule", "kind": "rule_based"},
+                    {"id": "m", "kind": "llm", "modle": "gpt-4-32k", "template": "zero-shot"},
+                ],
+            },
+            "extractors[1].modle", "extractors[1]", "id, kind, model, template",
+        ),
+        (
+            lambda c: {
+                **c,
+                "extractors": [
+                    *_ensemble_policy({})[:2],
+                    {"id": "ab", "kind": "ensemble", "members": ["a", "b"], "polciy": {}},
+                ],
+            },
+            "extractors[2].polciy", "extractors[2]", "id, kind, members, policy",
+        ),
+        (
+            lambda c: {**c, "extractors": _ensemble_policy({"tei_break": "abstain"})},
+            "extractors[2].policy.tei_break", "extractors[2].policy",
+            "min_agreement, tie_break, priority",
+        ),
+    ],
+    ids=[
+        "top-level", "top-level-section", "transport", "sampling", "rule-based-entry", "llm-entry",
+        "ensemble-entry", "ensemble-policy",
+    ],
+)
+def test_misspelled_config_key_exits_2_naming_its_path_and_the_keys_allowed_there(
+    tmp_path, capsys, edit, key, where, allowed
+):
+    _small_corpus(tmp_path)
+    path, argv = _edited_config(edit)(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {key} is not a config key; {where} takes {allowed}\n" == err
+    assert not (tmp_path / "out").exists()
+
+
+_README = Path(__file__).parents[1] / "README.md"
+
+
+def _schema_paths(rows, prefix=""):
+    """Every key path of the config schema ``rows``; ``[i]`` stands for an entry's index."""
+    for name, key in rows.items():
+        yield prefix + name
+        if isinstance(key.kind, list):
+            for entry in cli._ENTRIES.values():
+                yield from _schema_paths(entry, f"{prefix}{name}[i].")
+        elif isinstance(key.kind, dict):
+            yield from _schema_paths(key.kind, f"{prefix}{name}.")
+
+
+def test_readme_config_reference_lists_exactly_the_schema_keys():
+    text = _README.read_text(encoding="utf-8")
+    section = text.split("\n### Config reference\n", 1)[1].split("\n### ", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(_schema_paths(cli._CONFIG))
+
+
+def test_readme_config_example_loads(tmp_path):
+    text = _README.read_text(encoding="utf-8")
+    example = text.split("\n## CLI\n", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.json"
+    path.write_text(example, encoding="utf-8")
+    config = load_run_config(path)
+    assert [spec.kind for spec in config.extractors] == ["rule_based", "llm", "llm", "llm", "ensemble"]
 
 
 def test_extractor_id_outside_the_output_directory_writes_nothing(tmp_path):
