@@ -161,7 +161,12 @@ def _walk(value, key: _Key, path: str):
         raise ConfigError(f"{where} must be {_JSON[expected]}, got {value!r}")
     if isinstance(kind, dict):
         if kind is _ENTRIES:
-            kind = _ENTRIES[_walk(value.get("kind"), _KIND, f"{path}.kind")]
+            # Without its kind, an entry is checked against every entry key,
+            # so a misspelled key is named before the missing kind.
+            kind = (
+                _ENTRIES[_walk(value["kind"], _KIND, f"{path}.kind")] if "kind" in value
+                else {name: row for table in _ENTRIES.values() for name, row in table.items()}
+            )
         prefix = f"{path}." if path else ""
         unknown = [name for name in value if name not in kind]
         if unknown:
@@ -184,7 +189,8 @@ def _walk(value, key: _Key, path: str):
         if type(value) in (int, kind) and (kind is int or abs(value) <= sys.float_info.max) and (
             key.minimum is None or value >= key.minimum
         ):
-            return kind(value)
+            # + 0 turns -0.0 into 0.0, so that both encode, and fingerprint, alike.
+            return kind(value) + 0
         number = "an integer" if kind is int else "a finite number"
         bound = "" if key.minimum is None else f" >= {key.minimum}"
         raise ConfigError(f"{path} must be {number}{bound}, got {value!r}")

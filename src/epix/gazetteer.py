@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator, TypeVar
 
 from .errors import SchemaError
 
@@ -24,6 +24,8 @@ _DATA_DIR = Path(__file__).parent / "data"
 # Folded aliases too ambiguous to scan for inside running text ("the US" vs
 # the pronoun "us"). They stay valid for whole-string lookups elsewhere.
 _SCAN_STOPLIST = frozenset({"us"})
+
+_T = TypeVar("_T")
 
 
 def fold(text: str) -> str:
@@ -51,6 +53,7 @@ class Gazetteer:
         self._by_surface: dict[str, GazetteerEntry] = {}
         self._display: dict[str, str] = {}
         self._prefixes: set[str] = set()
+        self._scanner = None  # what ``scanner`` built; ``add`` drops it
         for cls, canonical_id, display_name, surface in rows:
             self.add(cls, canonical_id, display_name, surface)
 
@@ -71,6 +74,7 @@ class Gazetteer:
         self._display.setdefault(canonical_id, display_name)
         words = key.split(" ")
         self._prefixes.update(" ".join(words[:n]) for n in range(1, len(words) + 1))
+        self._scanner = None
 
     def resolve(self, surface: str) -> GazetteerEntry | None:
         """Look up one surface form; None when unknown."""
@@ -91,6 +95,17 @@ class Gazetteer:
         no longer candidate can then be a key.
         """
         return self._prefixes
+
+    def scanner(self, build: Callable[["Gazetteer"], _T]) -> _T:
+        """``build(self)``, made on first use and kept until ``add`` changes the keys.
+
+        The rule-based annotator compiles its body scanner here. It is built
+        on the first scan, not when the gazetteer is loaded, so loading stays
+        cheap, and it lives as long as the gazetteer does.
+        """
+        if self._scanner is None:
+            self._scanner = build(self)
+        return self._scanner
 
     def __len__(self) -> int:
         return len(self._by_surface)

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from epix import annotator
 from epix.annotator import (
-    _COUNT_KEYWORD_RE,
-    _DATE_ANCHOR_RE,
     _TOKEN_RE,
+    _build_scanner,
     _lowered,
+    _scan,
     CountSpan,
     DateSpan,
     EntitySpan,
@@ -327,8 +327,7 @@ def test_lowered_copy_keeps_offsets_classes_and_ignorecase_letters():
         assert positions(pattern, every) == positions(pattern, lowered)
     for letter in string.ascii_lowercase:
         assert positions(letter, every, re.IGNORECASE) == positions(letter, lowered)
-    assert not _COUNT_KEYWORD_RE.flags & re.IGNORECASE
-    assert not _DATE_ANCHOR_RE.flags & re.IGNORECASE
+    assert not _build_scanner(_GAZETTEER).pattern.flags & re.IGNORECASE
 
 
 @given(st.one_of(st.text(), st.text(st.sampled_from("aZkKſıİ\u212a\u0307é–Σ_ 1"))))
@@ -477,6 +476,135 @@ def test_count_and_date_scans_match_full_scan_oracles_on_fixtures(fixtures_dir):
         assert dates == _full_date_scan(doc)
         spans += len(counts) + len(dates)
     assert spans
+
+
+# --- the one scan that extract_rule_based shares among the annotators ---------
+
+
+def _shared_scan_outcomes(doc, gazetteer):
+    """Counts and dates from the scan that ``extract_rule_based`` builds with ``gazetteer``."""
+    scan = _scan(doc.body, gazetteer)
+    return (
+        _outcome(lambda d: annotate_counts(d, scan=scan), doc),
+        _outcome(lambda d: annotate_dates(d, scan=scan), doc),
+    )
+
+
+def _oracle_outcomes(doc):
+    return _outcome(_full_count_scan, doc), _outcome(_full_date_scan, doc)
+
+
+# First tokens of the bundled keys that also start like a date or are a count keyword.
+_OVERLAPPING_SURFACES = [
+    s for s in _SURFACES if re.match(r"(?:\d|jan|feb|ma[ry]|apr|ju[nl]|aug|sep|oct|nov|dec)", s, re.I)
+]
+
+
+@st.composite
+def _bodies_with_mentions(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        piece = draw(st.one_of(
+            _count_expression(), _date_expression(), st.sampled_from(_LOOSE_TOKENS),
+            st.sampled_from(_SURFACES), st.sampled_from(_OVERLAPPING_SURFACES),
+        ))
+        case = draw(st.sampled_from([str, str.upper, str.lower, str.title]))
+        parts += [case(piece), draw(st.sampled_from(_SPACES[:4] + _PUNCTUATION))]
+    return "".join(parts)
+
+
+@settings(max_examples=300)
+@given(_bodies_with_mentions(), st.one_of(st.none(), st.dates()))
+@example("2019-05-03", None)
+@example("Mayotte, 3 May 2019", None)
+@example("A novel coronavirus: Nov 3, 2019", None)
+@example("Marburg in Uganda since March 2", date(2020, 1, 1))
+@example("septicemic plague, Sep 4", date(2020, 1, 1))
+@example("2019 novel coronavirus on 2019-05-03; Marburg virus disease: 12 cases", None)
+def test_shared_scan_with_the_bundled_gazetteer_matches_full_scan_oracles(body, published):
+    doc = _doc(body, published=published)
+    assert _shared_scan_outcomes(doc, _GAZETTEER) == _oracle_outcomes(doc)
+
+
+def test_shared_scan_keeps_dates_at_first_tokens_that_start_like_dates():
+    for body, published, expected in [
+        ("2019-05-03", None, date(2019, 5, 3)),
+        ("Mayotte, 3 May 2019", None, date(2019, 5, 3)),
+        ("A novel coronavirus: Nov 3, 2019", None, date(2019, 11, 3)),
+        ("Marburg in Uganda since March 2", date(2020, 1, 1), date(2020, 3, 2)),
+        ("septicemic plague, Sep 4", date(2020, 1, 1), date(2020, 9, 4)),
+    ]:
+        doc = _doc(body, published=published)
+        assert _scan(body, _GAZETTEER).firsts, body
+        assert extract_rule_based(doc, _GAZETTEER).date == expected, body
+        assert _shared_scan_outcomes(doc, _GAZETTEER) == _oracle_outcomes(doc)
+
+
+def test_shared_scan_with_the_bundled_gazetteer_matches_full_scan_oracles_on_fixtures(
+    fixtures_dir, monkeypatch
+):
+    scans = []
+    original = annotator.annotate_counts
+
+    def recording(doc, *, scan=None):
+        scans.append(scan)
+        return original(doc, scan=scan)
+
+    monkeypatch.setattr(annotator, "annotate_counts", recording)
+    for doc in _fixture_docs(fixtures_dir):
+        extract_rule_based(doc, _GAZETTEER)
+        scan = scans.pop()
+        fresh = _scan(doc.body, _GAZETTEER)
+        assert [m.span() for m in scan.firsts] == [m.span() for m in fresh.firsts]
+        assert scan.firsts and scan._replace(firsts=None) == fresh._replace(firsts=None)
+        assert annotate_counts(doc, scan=scan) == _full_count_scan(doc)
+        assert annotate_dates(doc, scan=scan) == _full_date_scan(doc)
+
+
+_FIRST_TOKENS = sorted(key for key in _GAZETTEER.key_prefixes if " " not in key)
+_PREFIX_PAIRS = [(a, b) for a in _FIRST_TOKENS for b in _FIRST_TOKENS if a != b and b.startswith(a)]
+
+
+@pytest.mark.parametrize("short, long", _PREFIX_PAIRS, ids=[f"{a}-{b}" for a, b in _PREFIX_PAIRS])
+def test_first_tokens_that_prefix_each_other_match_the_oracles(short, long):
+    keys = [key for key in _GAZETTEER._by_surface if key.split(" ")[0] in (short, long)]
+    pieces = keys + [short, long, long + "x", short + "2019", f"{short}-{long}", "4 May 2019",
+                     "12 cases"]
+    for sep in (" ", ", "):
+        for case in (str, str.upper, str.title):
+            body = sep.join(case(piece) for piece in pieces)
+            doc = _doc(body)
+            assert annotate_entities(doc, _GAZETTEER) == _window_scan(body, _GAZETTEER)
+            assert _shared_scan_outcomes(doc, _GAZETTEER) == _oracle_outcomes(doc)
+
+
+def test_prefix_pairs_include_the_known_ones():
+    assert {("dr", "drc"), ("america", "american"), ("u", "uk"), ("uk", "ukraine")} <= set(
+        _PREFIX_PAIRS
+    )
+
+
+def test_surface_added_after_a_scan_is_found():
+    gazetteer = Gazetteer([(DISEASE, "x", "X fever", "X fever")])
+    doc = _doc("Zed pox and X fever in May: 3 cases on 3 May 2019; Zed pox again")
+    assert extract_rule_based(doc, gazetteer).disease.canonical_id == "x"
+    gazetteer.add(DISEASE, "zed-pox", "Zed pox", "Zed pox")
+    record = extract_rule_based(doc, gazetteer)
+    assert (record.disease.canonical_id, record.disease_raw) == ("zed-pox", "Zed pox")
+    assert annotate_entities(doc, gazetteer) == _window_scan(doc.body, gazetteer)
+    # A surface whose first token starts like a date keeps the date.
+    gazetteer.add(COUNTRY, "MAY", "May Island", "May")
+    assert annotate_entities(doc, gazetteer) == _window_scan(doc.body, gazetteer)
+    assert record.date == extract_rule_based(doc, gazetteer).date == date(2019, 5, 3)
+    assert _shared_scan_outcomes(doc, gazetteer) == _oracle_outcomes(doc)
+
+
+def test_empty_gazetteer_scan_finds_counts_and_dates_only():
+    doc = _doc("Ebola in Guinea on 3 May 2019: 5 cases, 2 deaths", published=date(2019, 1, 1))
+    scan = _scan(doc.body, Gazetteer())
+    assert scan.firsts == []
+    assert _shared_scan_outcomes(doc, Gazetteer()) == _oracle_outcomes(doc)
+    assert annotate_entities(doc, Gazetteer(), scan=scan) == []
 
 
 # --- key-entity filtering ---------------------------------------------------

@@ -1429,7 +1429,7 @@ def test_ensemble_fingerprint_covers_its_members_and_its_policy(tmp_path):
     assert config.fingerprints["ab"] == _fingerprint_of(source)
 
 
-@pytest.mark.parametrize("temperature", [0, 0.0], ids=["int", "float"])
+@pytest.mark.parametrize("temperature", [0, 0.0, -0.0], ids=["int", "float", "negative-zero"])
 def test_integer_temperature_keys_requests_as_the_default_sampling(tmp_path, temperature):
     extractors = [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}]
     plain = load_run_config(_write_config(tmp_path, extractors))
@@ -1456,6 +1456,23 @@ def test_loading_a_config_does_not_import_requests(tmp_path):
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_setting_up_does_not_build_the_rule_based_scanner(tmp_path):
+    """Loading a config and the bundled tables leaves the annotator's scanner unbuilt."""
+    config = _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}])
+    probe = (
+        "import sys, epix.cli; epix.cli.load_run_config(sys.argv[1]); "
+        "from epix.gazetteer import default_gazetteer; "
+        "from epix.normalize import country_table; "
+        "country_table(); print(default_gazetteer()._scanner)"
+    )
+    src = Path(__file__).parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(config)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.stdout.strip() == "None"
 
 
 def _answer(text):
@@ -2020,10 +2037,14 @@ _TOP_KEYS = "corpus, gold, output_dir, match_mode, concurrency, transport, sampl
             "extractors[2].policy.tei_break", "extractors[2].policy",
             "min_agreement, tie_break, priority",
         ),
+        (
+            lambda c: {**c, "extractors": [{"id": "a", "knid": "rule_based"}]},
+            "extractors[0].knid", "extractors[0]", "id, kind, model, template, members, policy",
+        ),
     ],
     ids=[
         "top-level", "top-level-section", "transport", "sampling", "rule-based-entry", "llm-entry",
-        "ensemble-entry", "ensemble-policy",
+        "ensemble-entry", "ensemble-policy", "misspelled-kind",
     ],
 )
 def test_misspelled_config_key_exits_2_naming_its_path_and_the_keys_allowed_there(
@@ -2035,6 +2056,15 @@ def test_misspelled_config_key_exits_2_naming_its_path_and_the_keys_allowed_ther
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {path}: {key} is not a config key; {where} takes {allowed}\n" == err
+    assert not (tmp_path / "out").exists()
+
+
+def test_entry_without_a_kind_exits_2_saying_that_kind_is_required(tmp_path, capsys):
+    _small_corpus(tmp_path)
+    path, argv = _edited_config(lambda c: {**c, "extractors": [{"id": "a"}]})(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}: extractors[0].kind is required\n"
     assert not (tmp_path / "out").exists()
 
 
