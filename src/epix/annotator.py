@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -32,9 +31,6 @@ from .normalize import (
 )
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
-# Splits a body into its _TOKEN_RE tokens (even places) and the runs between
-# them (odd places); the first and last token may be empty.
-_TOKEN_SPLIT_RE = re.compile(r"(\W+)")
 # The token after a position, past the run of non-word characters before it.
 _NEXT_TOKEN_RE = re.compile(r"\W+(\w+)")
 # The keyword that ends every COUNT_EXPR_RE match, as a whole token.
@@ -212,63 +208,47 @@ def annotate_entities(
     A match consumes its tokens, so shorter overlapping surfaces ("Ebola"
     inside "Ebola virus disease") are suppressed. From each token the
     candidate key grows one token at a time only while it is still a word
-    prefix of some gazetteer key, and the longest full key seen wins.
-    ``scan`` is this body's ``_scan`` with this gazetteer; left out, it is made.
+    prefix of some gazetteer key, and the longest full key seen wins. A
+    token's key is its ``fold``. Only tokens holding ``_`` or a non-ASCII
+    character are folded; any other is ASCII letters and digits, whose key
+    is its slice of the scan's lowered body. ``scan`` is this body's
+    ``_scan`` with this gazetteer; left out, it is made.
     """
     body = doc.body
     prefixes = gazetteer.key_prefixes
+    scan = scan or _scan(body, gazetteer)
+    candidates = scan.firsts
+    folded: dict[int, str] = {}  # end -> fold of each token holding "_" or a non-ASCII character
+    if not body.isascii() or "_" in body:
+        tokens = [m for m in _TOKEN_RE.finditer(body) if not m[0].isascii() or "_" in m[0]]
+        folded = {token.end(): fold(token[0]) for token in tokens}
+        # A first-word hit on such a token is dropped: its lowered form need not be its fold.
+        candidates = sorted(
+            [first for first in candidates if first.end() not in folded]
+            + [token for token in tokens if folded[token.end()] in prefixes],
+            key=lambda match: match.start(),
+        )
     spans: list[EntitySpan] = []
-    if body.isascii() and "_" not in body:
-        # Every token is ASCII letters and digits, whose fold is their lower
-        # case, so the scanner's first tokens are the candidates, and each
-        # grows by the lowered tokens after it.
-        scan = scan or _scan(body, gazetteer)
-        resume = 0
-        for first in scan.firsts:
-            start = first.start()
-            if start < resume:
-                continue
-            key, end, entry = first.group(), first.end(), None
-            while key in prefixes:
-                hit = gazetteer.resolve_key(key)
-                if hit is not None:
-                    entry, last = hit, end
-                step = _NEXT_TOKEN_RE.match(scan.lowered, end)
-                if step is None:
-                    break
-                key, end = f"{key} {step.group(1)}", step.end()
-            if entry is not None:
-                surface = body[start:last]
-                spans.append(EntitySpan(entry.cls, start, last, surface, entry.canonical_id))
-                resume = last
-        return spans
-    parts = _TOKEN_SPLIT_RE.split(body)
-    keys = [fold(token) for token in parts[::2]]
-    # Token k spans from the start of part 2k to that of part 2k + 1. Matches
-    # come in order, so the starts are read forward, and no list of them is
-    # kept. An empty first or last key is no prefix, so it never joins a match.
-    starts = accumulate(map(len, parts), initial=0)
-    read = 0  # how many starts have been read
     resume = 0
-    for i in [i for i, key in enumerate(keys) if key in prefixes]:
-        if i < resume:
+    for candidate in candidates:
+        start = candidate.start()
+        if start < resume:
             continue
-        key, j, entry = keys[i], i, None
+        end = candidate.end()
+        key = folded[end] if end in folded else candidate.group()
+        entry = None
         while key in prefixes:
             hit = gazetteer.resolve_key(key)
             if hit is not None:
-                entry, last = hit, j
-            j += 1
-            if j == len(keys):
+                entry, last = hit, end
+            step = _NEXT_TOKEN_RE.match(scan.lowered, end)
+            if step is None:
                 break
-            key = f"{key} {keys[j]}"
-        if entry is None:
-            continue
-        start = next(islice(starts, 2 * i - read, None))
-        end = next(islice(starts, 2 * (last - i), None))
-        read = 2 * last + 2
-        spans.append(EntitySpan(entry.cls, start, end, body[start:end], entry.canonical_id))
-        resume = last + 1
+            end = step.end()
+            key = f"{key} {folded[end] if end in folded else step.group(1)}"
+        if entry is not None:
+            spans.append(EntitySpan(entry.cls, start, last, body[start:last], entry.canonical_id))
+            resume = last
     return spans
 
 

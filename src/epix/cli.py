@@ -108,7 +108,8 @@ class _Key:
     ``_IDS``; a dict of keys (an object that takes just those); ``[kind]`` (a
     list); or ``_ENTRIES`` (an object that takes the keys of its ``kind``).
     Defaults are checked like given values. A key whose default is None may
-    be ``null``; a ``_REQUIRED`` one must be given and not be empty.
+    be ``null``; a ``_REQUIRED`` one must be given, and not as ``null``, ``""``
+    or ``[]``.
     """
 
     kind: object
@@ -174,7 +175,7 @@ def _walk(value, key: _Key, path: str):
             raise ConfigError(f"{prefix}{unknown[0]} is not a config key; {where} takes {allowed}")
         checked = {}
         for name, row in kind.items():
-            if row.default is _REQUIRED and not value.get(name):
+            if row.default is _REQUIRED and value.get(name) in (None, "", []):
                 raise ConfigError(f"{prefix}{name} is required")
             checked[name] = _walk(value.get(name, row.default), row, prefix + name)
         return checked

@@ -111,10 +111,11 @@ class Gazetteer:
         return len(self._by_surface)
 
     def entries(self) -> Iterator[GazetteerEntry]:
-        return iter(set(self._by_surface.values()))
+        """Each entry once, in the order its first surface form was added."""
+        return iter(dict.fromkeys(self._by_surface.values()))
 
     def validate(self) -> None:
-        """Every canonical id must also be reachable through its display name."""
+        """Each canonical id must be reachable by its display name; the first that is not fails."""
         for entry in self.entries():
             hit = self.resolve(entry.display_name)
             if hit is None or hit.canonical_id != entry.canonical_id:
@@ -124,27 +125,37 @@ class Gazetteer:
                 )
 
 
-def _iter_tsv(path: Path, columns: int) -> Iterator[tuple[int, list[str]]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != columns:
-                raise SchemaError(
-                    f"expected {columns} tab-separated columns, got {len(parts)}",
-                    line=lineno,
-                )
-            yield lineno, [p.strip() for p in parts]
+def _read_tsv(path: Path, columns: int, add: Callable[..., object]) -> None:
+    """``add(*cells)`` for each line of a tab-separated table but its blank and ``#`` lines.
+
+    A line that is not UTF-8, has another number of cells, or that ``add``
+    rejects is a SchemaError that starts with the path and the line.
+    """
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: line {lineno}: invalid UTF-8") from None
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        cells = line.split("\t")
+        try:
+            if len(cells) != columns:
+                raise SchemaError(f"expected {columns} tab-separated columns, got {len(cells)}")
+            add(*[cell.strip() for cell in cells])
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: line {lineno}: {exc}") from None
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
-    """Load a gazetteer resource file (class, canonical_id, display_name, surface_form)."""
+    """Load a gazetteer TSV (class, canonical_id, display_name, surface_form); errors name it."""
+    path = Path(path)
     gaz = Gazetteer()
-    for _, (cls, canonical_id, display_name, surface) in _iter_tsv(Path(path), 4):
-        gaz.add(cls, canonical_id, display_name, surface)
-    gaz.validate()
+    _read_tsv(path, 4, gaz.add)
+    try:
+        gaz.validate()
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return gaz
 
 
@@ -165,13 +176,12 @@ def default_gazetteer() -> Gazetteer:
     is the alpha-3 code.
     """
     gaz = Gazetteer()
-    for _, (cls, canonical_id, display_name, surface) in _iter_tsv(
-        _DATA_DIR / "diseases.tsv", 4
-    ):
-        gaz.add(cls, canonical_id, display_name, surface)
-    for _, (alpha3, display_name, alias) in _iter_tsv(_DATA_DIR / "countries.tsv", 3):
-        if fold(alias) in _SCAN_STOPLIST:
-            continue
-        gaz.add(COUNTRY, alpha3, display_name, alias)
+    _read_tsv(_DATA_DIR / "diseases.tsv", 4, gaz.add)
+
+    def add_country(alpha3: str, display_name: str, alias: str) -> None:
+        if fold(alias) not in _SCAN_STOPLIST:
+            gaz.add(COUNTRY, alpha3, display_name, alias)
+
+    _read_tsv(_DATA_DIR / "countries.tsv", 3, add_country)
     gaz.validate()
     return gaz

@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
-from .gazetteer import DISEASE, Gazetteer, _iter_tsv, default_gazetteer, fold
+from .gazetteer import DISEASE, Gazetteer, _read_tsv, default_gazetteer, fold
 
 # Calendar dates serialize as YYYY-MM-DD; the stdlib date already guarantees
 # a valid Gregorian (year, month, day) triple.
@@ -190,7 +190,8 @@ class CountryTable:
 
 @lru_cache(maxsize=1)
 def country_table() -> CountryTable:
-    rows = [row for _, row in _iter_tsv(_DATA_DIR / "countries.tsv", 3)]
+    rows: list[tuple[str, ...]] = []
+    _read_tsv(_DATA_DIR / "countries.tsv", 3, lambda *row: rows.append(row))
     return CountryTable(rows)
 
 

@@ -2,6 +2,7 @@ import re
 import string
 import sys
 import unicodedata
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -81,6 +82,36 @@ def test_gazetteer_requires_display_surface(tmp_path):
         load_gazetteer(path)
 
 
+_X_ROW = b"DISEASE\tx\tX fever\tX fever\n"
+
+
+@pytest.mark.parametrize(
+    "content, said",
+    [
+        (_X_ROW + b"DISEAS\ty\tY fever\tY fever\n", "line 2: unknown gazetteer class 'DISEAS'"),
+        (
+            _X_ROW + b"# a comment\nDISEASE\ty\tY fever\tx FEVER\n",
+            "line 3: surface form 'x FEVER' maps to both 'x' and 'y'",
+        ),
+        (_X_ROW + b"DISEASE\ty\tY fever\n", "line 2: expected 4 tab-separated columns, got 3"),
+        (_X_ROW + b"\nDISEASE\ty\tY f\xe9ver\tY fever\n", "line 3: invalid UTF-8"),
+        (_X_ROW + b"DISEASE\ty\tY fever\t__\n", "line 2: surface form '__' folds to nothing"),
+        # Reported in file order: the first of many entries without their display name.
+        (
+            "".join(f"DISEASE\td{i}\tD{i} fever\tD{i}F\n" for i in range(50)).encode(),
+            "display name 'D0 fever' is not a surface form of 'd0'",
+        ),
+    ],
+    ids=["class", "conflict", "columns", "utf-8", "folds-to-nothing", "display-name"],
+)
+def test_gazetteer_file_error_starts_with_the_path_and_line(tmp_path, content, said):
+    path = tmp_path / "gaz.tsv"
+    path.write_bytes(content)
+    with pytest.raises(SchemaError) as caught:
+        load_gazetteer(path)
+    assert str(caught.value) == f"{path}: {said}"
+
+
 def test_gazetteer_rejects_conflicting_surfaces():
     gaz = Gazetteer()
     gaz.add(DISEASE, "a", "A", "A")
@@ -158,6 +189,12 @@ def _mention_bodies(draw):
 
 @settings(max_examples=500)
 @given(_mention_bodies())
+# Tokens whose lowered form is not their fold: a scanner hit on one is no candidate.
+@example("Fıji and Ebola")
+@example("Ebola vırus disease")
+@example("Ｅｂｏｌａ virus disease")
+@example("ebola_virus disease")
+@example("cholera in Côte d'Ivoire")
 def test_prefix_scan_matches_window_oracle(body):
     assert annotate_entities(_doc(body), _GAZETTEER) == _window_scan(body, _GAZETTEER)
 
@@ -178,6 +215,33 @@ def test_prefix_scan_matches_window_oracle_on_fixtures(fixtures_dir):
         assert spans and spans == _window_scan(doc.body, _GAZETTEER)
 
 
+# What real ProMED and WHO posts hold and the fixtures do not: accented names
+# and words, en dashes and curly quotes.
+_ACCENTS = {" - ": " – ", "'": "’", "ministry": "ministère", "Viet Nam": "Việt Nam",
+            "outbreak": "épidémie", "update": "mise à jour"}
+
+
+def _accented(body):
+    for plain, accented in _ACCENTS.items():
+        body = body.replace(plain, accented)
+    return (
+        f"Mise à jour – “{body}” Cases were also reported in Côte d’Ivoire, São Tomé and "
+        "Príncipe and Curaçao: 12\u00a0cases of ebola_virus disease by 3\u00a0May\u00a02019."
+    )
+
+
+def test_oracles_hold_on_fixtures_with_accents_dashes_and_curly_quotes(fixtures_dir):
+    for doc in _fixture_docs(fixtures_dir):
+        doc = replace(doc, body=_accented(doc.body))
+        scan = _scan(doc.body, _GAZETTEER)
+        spans = annotate_entities(doc, _GAZETTEER)
+        assert {"CIV", "STP", "CUW", "ebola-virus-disease"} <= {s.canonical_id for s in spans}
+        assert spans == annotate_entities(doc, _GAZETTEER, scan=scan)
+        assert spans == _window_scan(doc.body, _GAZETTEER)
+        alone = _outcome(annotate_counts, doc), _outcome(annotate_dates, doc)
+        assert alone == _shared_scan_outcomes(doc, _GAZETTEER) == _oracle_outcomes(doc)
+
+
 def test_ascii_body_without_underscore_calls_no_fold(monkeypatch, gazetteer):
     calls = []
 
@@ -189,9 +253,18 @@ def test_ascii_body_without_underscore_calls_no_fold(monkeypatch, gazetteer):
     body = "Ebola virus disease in DRC: 15 cases, then cholera in Yemen."
     spans = annotate_entities(_doc(body), gazetteer)
     assert spans and calls == []
-    # An underscore sends every token through fold, to the same spans.
+    # Elsewhere fold runs once for each token holding "_" or a non-ASCII
+    # character, and never for the other tokens.
     assert annotate_entities(_doc(body + " _"), gazetteer) == spans
-    assert len(calls) == len(_TOKEN_RE.findall(body)) + 1
+    assert calls == ["_"]
+    for body in (
+        _accented(body),
+        "ebola_virus disease in Côte d’Ivoire – “Fıji” and Ｅｂｏｌａ, ½ ﬁ İ _ a_b",
+    ):
+        calls.clear()
+        annotate_entities(_doc(body), gazetteer)
+        tokens = _TOKEN_RE.findall(body)
+        assert sorted(calls) == sorted(t for t in tokens if not t.isascii() or "_" in t)
 
 
 def test_longest_match_wins(gazetteer):

@@ -1805,6 +1805,16 @@ def _not_ids(key):
     return f"extractors[2].{key} must be a list of extractor ids"
 
 
+def _said(said, edit):
+    """``_edited_config(edit)``, whose error, after the config's path, reads ``said``."""
+
+    def make(tmp_path):
+        path, argv = _edited_config(edit)(tmp_path)
+        return f"{path}: {said}", argv
+
+    return make
+
+
 def _torn_report(tmp_path):
     _extract_and_evaluate(tmp_path)
     report = tmp_path / "out" / "report.json"
@@ -1864,6 +1874,7 @@ def _edited_report(edit):
         ),
         _bad_ensemble(_not_ids("members"), members="ab"),
         _bad_ensemble(_not_ids("members"), members={"a": 1, "b": 2}),
+        _bad_ensemble(_not_ids("members"), members={}),
         _bad_ensemble(_not_ids("members"), members=["a", "b", 3], policy={"priority": ["b", "a"]}),
         _bad_ensemble(_not_ids("policy.priority"), policy={"priority": "ba"}),
         _bad_ensemble(_not_ids("policy.priority"), policy={"priority": ["b", "a", 3]}),
@@ -1874,6 +1885,13 @@ def _edited_report(edit):
             policy={"min_agreement": 3},
         ),
         _edited_config(lambda c: [c]),
+        # A required key that is there, but falsy and of the wrong type, is named by its type.
+        _said("corpus must be a JSON string, got 0", lambda c: {**c, "corpus": 0}),
+        _said("corpus must be a JSON string, got False", lambda c: {**c, "corpus": False}),
+        _said(
+            "extractors[0].id must be a JSON string, got 0",
+            lambda c: {**c, "extractors": [{"id": 0, "kind": "rule_based"}]},
+        ),
         *(
             _edited_config(lambda c, bad=bad: {**c, "extractors": [{"id": bad, "kind": "rule_based"}]})
             for bad in ("..", ".", "../../corpus", "a/b", "a\\b", "/tmp/abs", "nul\0", 7, ["x"])
@@ -1888,9 +1906,9 @@ def _edited_report(edit):
     ],
     ids=[
         "match-mode", "transport-mode", "tie-break", "min-agreement", "ensemble-cycle",
-        "members-string", "members-object", "members-number", "priority-string",
-        "priority-number", "members-twice", "one-member", "min-agreement-above-members",
-        "top-level-list",
+        "members-string", "members-object", "members-empty-object", "members-number",
+        "priority-string", "priority-number", "members-twice", "one-member",
+        "min-agreement-above-members", "top-level-list", "corpus-zero", "corpus-false", "id-zero",
         "id-parent", "id-dot", "id-escape", "id-slash", "id-backslash", "id-absolute",
         "id-nul", "id-number", "id-list",
         "torn-report", "report-cell-missing", "report-extractor-without-cells",
