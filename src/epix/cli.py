@@ -127,7 +127,7 @@ _ENTRIES = {
     ENSEMBLE: {"id": _NAME, "kind": _KIND, "members": _Key(_IDS, _REQUIRED), "policy": _Key({
         "min_agreement": _Key(int, VotePolicy.min_agreement, minimum=1),
         "tie_break": _Key(TieBreak, VotePolicy.tie_break),
-        "priority": _Key(_IDS),  # left out: the members, in order
+        "priority": _Key(_IDS, []),  # empty: the members, in order
     }, {})},
 }
 _CONFIG = {
@@ -237,9 +237,7 @@ def _parse_run_config(data) -> RunConfig:
                 dangling = [m for m in members if m not in ids or m == spec.id]
                 if dangling:
                     raise ConfigError(f"ensemble {spec.id!r} has undeclared members: {dangling}")
-                if policy["priority"] is None:
-                    policy["priority"] = members
-                # EnsembleConfig validates member count, distinctness and priority coverage.
+                # EnsembleConfig validates member count, distinctness and priority order.
                 ensemble = EnsembleConfig(spec.id, members, VotePolicy(**policy))
                 spec = replace(spec, ensemble=ensemble)
         except ConfigError as exc:
@@ -259,8 +257,9 @@ def _parse_run_config(data) -> RunConfig:
     )
 
 
-# The modules whose code decides a rule-based record, and a corpus line.
+# The modules whose code decides a rule-based record, a vote, and a corpus line.
 _RULE_BASED_SOURCES = ("annotator.py", "normalize.py", "gazetteer.py")
+_ENSEMBLE_SOURCES = ("ensemble.py", "normalize.py")
 _INGEST_SOURCES = ("corpus.py", "normalize.py")
 
 
@@ -280,6 +279,12 @@ def rule_based_source_digest() -> str:
 
 
 @lru_cache(maxsize=1)
+def ensemble_source_digest() -> str:
+    """``source_digest`` of the modules that vote, once per process."""
+    return source_digest(_ENSEMBLE_SOURCES)
+
+
+@lru_cache(maxsize=1)
 def ingest_source_digest() -> str:
     """``source_digest`` of the modules that turn a raw file into a corpus line."""
     return source_digest(_INGEST_SOURCES)
@@ -290,10 +295,11 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
 
     A rule-based extractor's covers the bundled gazetteer tables and the
     source of its modules; a model extractor's its model profile, template
-    and the sampling; an ensemble's its members' ids and its policy (its
-    input digests cover its members' records, so their fingerprints would
-    add nothing). Where answers come from is left out: the transport mode
-    and the endpoint, which the request digest keying the cache omits too.
+    and the sampling; an ensemble's its members' ids, its policy and the
+    source of ``ensemble.py`` and ``normalize.py`` (its input digests cover
+    its members' records, so their fingerprints would add nothing). Where
+    answers come from is left out: the transport mode and the endpoint,
+    which the request digest keying the cache omits too.
     Members come before their ensembles in the result; an ensemble that
     is, through its members, its own member is a ConfigError.
     """
@@ -321,6 +327,7 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
                 visit(specs[member], inner)
             source["members"] = spec.ensemble.members
             source["policy"] = spec.ensemble.policy
+            source["code"] = ensemble_source_digest()
         # Dataclasses encode as their fields (``default=vars``).
         canonical = json.dumps(
             source, default=vars, sort_keys=True, separators=(",", ":"), ensure_ascii=False

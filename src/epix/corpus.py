@@ -392,13 +392,13 @@ def read_jsonl(
                         raise SchemaError("not a JSON object")
                     item = decode(obj)
                 except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}: invalid JSON ({exc.msg})", line=lineno) from None
+                    raise SchemaError(f"invalid JSON ({exc.msg})", path, lineno) from None
                 except (SchemaError, AttributeError, LookupError, TypeError, ValueError) as exc:
-                    raise SchemaError(f"{path}: {exc}", line=lineno) from None
+                    raise SchemaError(str(exc), path, lineno) from None
                 if unique is not None:
                     key = unique(item)
                     if key in seen:
-                        raise SchemaError(f"{path}: duplicate document id {key!r}", line=lineno)
+                        raise SchemaError(f"duplicate document id {key!r}", path, lineno)
                     seen.add(key)
                 items.append(item)
     except UnicodeDecodeError:
@@ -408,7 +408,7 @@ def read_jsonl(
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
-            raise SchemaError(f"{path}: invalid UTF-8", line=line) from None
+            raise SchemaError("invalid UTF-8", path, line) from None
         raise
     return items
 

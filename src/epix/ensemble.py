@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -40,66 +40,66 @@ class EnsembleConfig:
             raise ConfigError("ensemble members must be distinct")
         if self.policy.min_agreement > len(self.members):
             raise ConfigError("min_agreement cannot exceed the member count")
-        if self.policy.priority or self.policy.tie_break is TieBreak.PRIORITY_ORDER:
-            _check_priority(self.policy, self.members)
+        _ranks(self.policy, self.members)
+        # An empty priority is the members' order; filled in, both fingerprint alike.
+        if not self.policy.priority:
+            object.__setattr__(self, "policy", replace(self.policy, priority=tuple(self.members)))
 
 
-def _check_priority(policy: VotePolicy, members: Sequence[str]) -> None:
-    missing = set(members) - set(policy.priority)
+def _ranks(policy: VotePolicy, members: Sequence[str]) -> Sequence[int]:
+    """Each member's place in the priority order; an empty priority is the members' own order."""
+    priority = policy.priority
+    if not priority:
+        return range(len(members))
+    if len(set(priority)) != len(priority):
+        repeated = sorted({member for member in priority if priority.count(member) > 1})
+        raise ConfigError(f"priority order repeats members: {repeated}")
+    missing = set(members).difference(priority)
     if missing:
         raise ConfigError(f"priority order does not cover members: {sorted(missing)}")
+    return [priority.index(member) for member in members]
 
 
-def _winning_group(
-    field_name: str,
-    candidates: Sequence,
-    policy: VotePolicy,
-    members: Sequence[str] | None,
-) -> list[int] | None:
-    """Indices of the winning candidate group, or None when the vote abstains.
+def _winner(
+    field_name: str, candidates: Sequence, policy: VotePolicy, rank: Sequence[int]
+) -> int | None:
+    """Index of the winning candidate, or None when the vote abstains.
 
     Candidates with equal comparison keys form one group; absent candidates
-    form their own, so an absence majority wins like any value. A winning
-    group must reach min_agreement; among equally large maximal groups
-    PRIORITY_ORDER picks the one holding the highest-priority member's
-    value, ABSTAIN gives up.
+    form their own, so an absence majority wins like any value. The winner
+    is the best-ranked candidate of the largest group, which must reach
+    min_agreement; among equally large groups PRIORITY_ORDER picks the one
+    whose best-ranked candidate ranks best, ABSTAIN gives up.
     """
-    if members is not None and len(members) != len(candidates):
-        raise ConfigError(
-            f"{len(candidates)} candidates for {len(members)} members"
-        )
     groups: dict[object, list[int]] = {}
     for idx, value in enumerate(candidates):
         groups.setdefault(comparison_key(field_name, value), []).append(idx)
-
-    best_size = max(len(indices) for indices in groups.values())
-    if best_size < policy.min_agreement:
+    size = max(len(group) for group in groups.values())
+    if size < policy.min_agreement:
         return None
-    top = [indices for indices in groups.values() if len(indices) == best_size]
-    if len(top) == 1:
-        return top[0]
-    if policy.tie_break is TieBreak.ABSTAIN:
+    # The best-ranked candidate of the largest groups is the best-ranked group's best.
+    top = [idx for group in groups.values() if len(group) == size for idx in group]
+    if len(top) > size and policy.tie_break is TieBreak.ABSTAIN:
         return None
-    if members is not None and policy.priority:
-        rank = {member: i for i, member in enumerate(policy.priority)}
-        return min(top, key=lambda indices: min(rank[members[i]] for i in indices))
-    # No member ids to rank by: candidate position doubles as priority.
-    return min(top, key=min)
+    return min(top, key=rank.__getitem__)
 
 
 def vote_field(
-    field_name: str,
-    candidates: Sequence,
-    policy: VotePolicy,
-    members: Sequence[str] | None = None,
+    field_name: str, candidates: Sequence, policy: VotePolicy, members: Sequence[str] | None = None
 ):
-    """Majority vote over one field's candidate values; None means abstain."""
-    if members is not None and policy.priority:
-        _check_priority(policy, members)
-    group = _winning_group(field_name, candidates, policy, members)
-    if group is None:
-        return None
-    return candidates[group[0]]
+    """Majority vote over one field's candidate values; None means abstain.
+
+    The value returned is the one ``ensemble_records`` stores. Without
+    ``members``, each candidate's position is its rank.
+    """
+    if members is None:
+        rank = range(len(candidates))
+    elif len(members) != len(candidates):
+        raise ConfigError(f"{len(candidates)} candidates for {len(members)} members")
+    else:
+        rank = _ranks(policy, members)
+    winner = _winner(field_name, candidates, policy, rank)
+    return None if winner is None else candidates[winner]
 
 
 def ensemble_records(
@@ -108,7 +108,7 @@ def ensemble_records(
     """Combine one record per member into a single voted record.
 
     Votes run per field. The winning field's raw and normalized values are
-    taken from the highest-priority member inside the winning group.
+    taken from the winning candidate's member.
     """
     by_extractor = {}
     for record in records:
@@ -124,25 +124,14 @@ def ensemble_records(
         raise ConfigError(f"records span multiple documents: {sorted(doc_ids)}")
 
     ordered = [by_extractor[member] for member in config.members]
-    if config.policy.priority:
-        rank = {member: i for i, member in enumerate(config.policy.priority)}
-    else:
-        rank = {member: i for i, member in enumerate(config.members)}
-
+    rank = _ranks(config.policy, config.members)
     values = {}
     for field_name in FIELDS:
         candidates = [record.normalized_value(field_name) for record in ordered]
-        group = _winning_group(field_name, candidates, config.policy, config.members)
-        if group is None or candidates[group[0]] is None:
-            values[f"{field_name}_raw"] = None
-            values[field_name] = None
-            continue
-        chosen = min(group, key=lambda i: rank[config.members[i]])
-        values[f"{field_name}_raw"] = ordered[chosen].raw_value(field_name)
-        values[field_name] = ordered[chosen].normalized_value(field_name)
+        winner = _winner(field_name, candidates, config.policy, rank)
+        # An absent winner leaves the field and its raw string at None.
+        if winner is not None and candidates[winner] is not None:
+            values[field_name] = candidates[winner]
+            values[f"{field_name}_raw"] = ordered[winner].raw_value(field_name)
 
-    return ExtractionRecord(
-        document_id=records[0].document_id,
-        extractor_id=config.ensemble_id,
-        **values,
-    )
+    return ExtractionRecord(records[0].document_id, config.ensemble_id, **values)

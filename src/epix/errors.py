@@ -16,12 +16,15 @@ class EmptyInput(EpixError):
 class SchemaError(EpixError):
     """A corpus, gold, or resource file violates its expected schema.
 
-    Carries the offending line number when the problem is line-local.
+    Reads ``<path>: line <n>: <message>``, leaving out what is not given,
+    and carries the offending line number when the problem is line-local.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, path=None, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -135,7 +135,7 @@ def _read_tsv(path: Path, columns: int, add: Callable[..., object]) -> None:
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise SchemaError(f"{path}: line {lineno}: invalid UTF-8") from None
+            raise SchemaError("invalid UTF-8", path, lineno) from None
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = line.split("\t")
@@ -144,7 +144,7 @@ def _read_tsv(path: Path, columns: int, add: Callable[..., object]) -> None:
                 raise SchemaError(f"expected {columns} tab-separated columns, got {len(cells)}")
             add(*[cell.strip() for cell in cells])
         except SchemaError as exc:
-            raise SchemaError(f"{path}: line {lineno}: {exc}") from None
+            raise SchemaError(str(exc), path, lineno) from None
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
@@ -155,7 +155,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     try:
         gaz.validate()
     except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        raise SchemaError(str(exc), path) from None
     return gaz
 
 

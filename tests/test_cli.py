@@ -374,7 +374,7 @@ def test_vouched_line_that_stored_keys_cannot_read_is_read_in_full(tmp_path, cap
     capsys.readouterr()
     assert main(["--config", str(config), "evaluate"]) == 2
     err = capsys.readouterr().err
-    assert f"line 2: {predictions}: a record needs a document_id" in err
+    assert f"{predictions}: line 2: a record needs a document_id" in err
 
 
 def test_unreadable_sidecar_leaves_evaluate_as_it_was(tmp_path):
@@ -803,6 +803,34 @@ def test_rule_based_source_digest_covers_each_of_its_modules(monkeypatch, tmp_pa
         digests.add(cli.rule_based_source_digest())
     cli.rule_based_source_digest.cache_clear()
     assert len(digests) == 4
+
+
+def test_ensemble_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path, capsys):
+    _, config = _three_extractors(tmp_path)
+    before = {ext: _predictions(tmp_path, ext) for ext in _THREE}
+    names = ("ensemble.py", "normalize.py")
+    for name in names:
+        (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
+    monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
+    digests = set()
+    try:
+        for edited in (None, *names):
+            if edited is not None:
+                with open(tmp_path / edited, "a", encoding="utf-8") as fh:
+                    fh.write("# edited\n")
+            cli.ensemble_source_digest.cache_clear()
+            digests.add(cli.ensemble_source_digest())
+            capsys.readouterr()
+            assert main(["--config", str(config), "extract"]) == 0
+            out = capsys.readouterr().out
+            # Each edit re-votes every document and redoes no member record.
+            new = "0" if edited is None else "3"
+            assert f"ens: 3 records ({new} new)" in out, edited
+            assert "rule: 3 records (0 new)" in out and "m: 3 records (0 new)" in out, edited
+            assert {ext: _predictions(tmp_path, ext) for ext in _THREE} == before
+    finally:
+        cli.ensemble_source_digest.cache_clear()
+    assert len(digests) == 3
 
 
 @pytest.mark.parametrize("later", [False, True], ids=["same-run", "later-run"])
@@ -1425,8 +1453,17 @@ def test_ensemble_fingerprint_covers_its_members_and_its_policy(tmp_path):
         "kind": "ensemble",
         "members": ["a", "b"],
         "policy": {"min_agreement": 1, "tie_break": "ABSTAIN", "priority": ["b", "a"]},
+        "code": cli.ensemble_source_digest(),
     }
     assert config.fingerprints["ab"] == _fingerprint_of(source)
+
+
+def test_ensemble_fingerprint_is_the_same_without_priority_as_with_the_members_in_order(tmp_path):
+    left_out = load_run_config(_write_config(tmp_path, _ensemble_policy({})))
+    in_order = load_run_config(_write_config(tmp_path, _ensemble_policy({"priority": ["a", "b"]})))
+    assert left_out.fingerprints == in_order.fingerprints
+    reordered = load_run_config(_write_config(tmp_path, _ensemble_policy({"priority": ["b", "a"]})))
+    assert reordered.fingerprints["ab"] != in_order.fingerprints["ab"]
 
 
 @pytest.mark.parametrize("temperature", [0, 0.0, -0.0], ids=["int", "float", "negative-zero"])
@@ -1879,6 +1916,10 @@ def _edited_report(edit):
         _bad_ensemble(_not_ids("policy.priority"), policy={"priority": "ba"}),
         _bad_ensemble(_not_ids("policy.priority"), policy={"priority": ["b", "a", 3]}),
         _bad_ensemble("extractors[2]: ensemble members must be distinct", members=["a", "a"]),
+        _bad_ensemble(
+            "extractors[2]: priority order repeats members: ['b']",
+            policy={"priority": ["b", "a", "b"]},
+        ),
         _bad_ensemble("extractors[2]: an ensemble needs at least 2 members", members=["a"]),
         _bad_ensemble(
             "extractors[2]: min_agreement cannot exceed the member count",
@@ -1907,7 +1948,7 @@ def _edited_report(edit):
     ids=[
         "match-mode", "transport-mode", "tie-break", "min-agreement", "ensemble-cycle",
         "members-string", "members-object", "members-empty-object", "members-number",
-        "priority-string", "priority-number", "members-twice", "one-member",
+        "priority-string", "priority-number", "members-twice", "priority-repeats", "one-member",
         "min-agreement-above-members", "top-level-list", "corpus-zero", "corpus-false", "id-zero",
         "id-parent", "id-dot", "id-escape", "id-slash", "id-backslash", "id-absolute",
         "id-nul", "id-number", "id-list",

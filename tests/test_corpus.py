@@ -6,10 +6,13 @@ from datetime import date
 import pytest
 from hypothesis import given, strategies as st
 
+from epix import state
 from epix.corpus import (
     Document,
+    ExtractionRecord,
     GoldAnnotation,
     Source,
+    json_line,
     load_corpus,
     load_gold,
     parse_don_article,
@@ -20,6 +23,7 @@ from epix.corpus import (
     write_jsonl,
 )
 from epix.errors import EmptyInput, SchemaError
+from epix.gazetteer import load_gazetteer
 
 
 # --- promed ingestion -------------------------------------------------------
@@ -308,3 +312,28 @@ def test_gold_roundtrip(tmp_path):
     path = tmp_path / "gold.jsonl"
     save_gold(golds, path)
     assert load_gold(path) == golds
+
+
+_BAD_LINE_3 = {
+    "corpus": (
+        json_line(Document(id="d1", source=Source.PROMED, title="t", body="b")), b"[1]\n", load_corpus
+    ),
+    "gold": (json_line(GoldAnnotation("d1")), b'{"document_id": "d2", "count": -1}\n', load_gold),
+    "predictions": (
+        json_line(ExtractionRecord("d1", "x")),
+        b'{"extractor_id": "x"}\n',
+        lambda path: state.read_records(path, path.read_bytes()),
+    ),
+    "gazetteer": (b"DISEASE\tebola\tEbola\tEbola\n", b"DISEASE\tebola\tEbola\n", load_gazetteer),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_LINE_3))
+def test_bad_line_error_reads_path_then_line(tmp_path, kind):
+    good, bad, read = _BAD_LINE_3[kind]
+    path = tmp_path / kind
+    path.write_bytes(good + b"\n" + bad)
+    with pytest.raises(SchemaError) as caught:
+        read(path)
+    assert str(caught.value).startswith(f"{path}: line 3: ")
+    assert caught.value.line == 3

@@ -1,22 +1,25 @@
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from epix.ensemble import (
     EnsembleConfig,
     ExtractionRecord,
     TieBreak,
     VotePolicy,
-    _winning_group,
+    _ranks,
+    _winner,
     ensemble_records,
     vote_field,
 )
 from epix.errors import ConfigError
 from epix.normalize import (
+    FIELDS,
     CanonicalDisease,
     CaseCount,
     CountryCode,
+    comparison_key,
     normalize_country,
     normalize_disease,
     values_match,
@@ -148,8 +151,11 @@ def test_grouping_by_key_matches_pairwise_grouping(data):
         tie_break=data.draw(st.sampled_from(list(TieBreak))),
         priority=priority,
     )
-    args = (field_name, candidates, policy, data.draw(st.sampled_from([members, None])))
-    assert _winning_group(*args) == _pairwise_winning_group(*args)
+    members = data.draw(st.sampled_from([members, None]))
+    group = _pairwise_winning_group(field_name, candidates, policy, members)
+    rank = range(len(candidates)) if members is None else _ranks(policy, members)
+    expected = None if group is None else min(group, key=rank.__getitem__)
+    assert _winner(field_name, candidates, policy, rank) == expected
 
 
 # --- config validation -----------------------------------------------------------
@@ -172,6 +178,29 @@ def test_config_min_agreement_bounds():
 def test_priority_must_cover_members():
     with pytest.raises(ConfigError, match="cover"):
         EnsembleConfig("e", MEMBERS, VotePolicy(priority=("m1", "m2")))
+
+
+def test_priority_that_repeats_a_member_is_rejected():
+    repeats = VotePolicy(1, TieBreak.PRIORITY_ORDER, ("b", "a", "b"))
+    with pytest.raises(ConfigError, match=r"priority order repeats members: \['b'\]"):
+        EnsembleConfig("e", ("a", "b"), repeats)
+    with pytest.raises(ConfigError, match=r"repeats members: \['b'\]"):
+        vote_field("disease", [_disease("Ebola"), _disease("Cholera")], repeats, ["a", "b"])
+
+
+def test_left_out_priority_is_the_members_in_order():
+    config = EnsembleConfig("e", ("a", "b"), VotePolicy())
+    assert config.policy.priority == ("a", "b")
+    explicit = EnsembleConfig("e", ("a", "b"), VotePolicy(priority=("a", "b")))
+    assert config == explicit
+    records = [
+        ExtractionRecord(document_id="d1", extractor_id="a", disease=_disease("ebola")),
+        ExtractionRecord(document_id="d1", extractor_id="b", disease=_disease("zika")),
+    ]
+    tie = VotePolicy(min_agreement=1)
+    assert ensemble_records(records, EnsembleConfig("e", ("a", "b"), tie)).disease == _disease("ebola")
+    candidates = [_disease("ebola"), _disease("zika")]
+    assert vote_field("disease", candidates, tie, ("a", "b")) == _disease("ebola")
 
 
 def test_partial_priority_is_rejected_whatever_the_tie_break():
@@ -238,6 +267,54 @@ def test_winner_raw_comes_from_highest_priority_member():
     )
     voted = ensemble_records([a, b, c], config)
     assert voted.disease_raw == "XF"
+
+
+# Normalized values only: a record holds no raw string in a value field.
+_NORMALIZED = {
+    name: [value for value in values if not isinstance(value, (str, int))]
+    for name, values in _CANDIDATES.items()
+}
+
+
+@st.composite
+def _votes(draw):
+    """Member records of one document, each field's raw string naming its member, and a config."""
+    members = tuple(f"m{i}" for i in range(draw(st.integers(2, 5))))
+    records = []
+    for member in members:
+        values = {name: draw(st.sampled_from(_NORMALIZED[name])) for name in FIELDS}
+        raws = {f"{name}_raw": f"{member} {name}" for name, value in values.items() if value is not None}
+        records.append(ExtractionRecord(document_id="d1", extractor_id=member, **values, **raws))
+    policy = VotePolicy(
+        min_agreement=draw(st.integers(1, len(members))),
+        tie_break=draw(st.sampled_from(list(TieBreak))),
+        priority=tuple(draw(st.permutations(members))) if draw(st.booleans()) else (),
+    )
+    return records, EnsembleConfig("e", members, policy)
+
+
+@given(_votes())
+@example((
+    [
+        ExtractionRecord(document_id="d1", extractor_id="m1", count=CaseCount(15, approximate=True),
+                         count_raw="about 15"),
+        ExtractionRecord(document_id="d1", extractor_id="m2", count=CaseCount(15), count_raw="15"),
+        ExtractionRecord(document_id="d1", extractor_id="m3"),
+    ],
+    EnsembleConfig("e", MEMBERS, VotePolicy(priority=("m2", "m1", "m3"))),
+))
+def test_ensemble_records_stores_what_vote_field_returns(votes):
+    records, config = votes
+    voted = ensemble_records(records, config)
+    priority = config.policy.priority
+    for name in FIELDS:
+        candidates = [record.normalized_value(name) for record in records]
+        value = vote_field(name, candidates, config.policy, config.members)
+        assert voted.normalized_value(name) == value
+        key = comparison_key(name, value)
+        agreeing = [r for r in records if comparison_key(name, r.normalized_value(name)) == key]
+        best = min(agreeing, key=lambda r: priority.index(r.extractor_id), default=None)
+        assert voted.raw_value(name) == (None if value is None else best.raw_value(name))
 
 
 def test_missing_member_record_rejected():
