@@ -257,8 +257,9 @@ def _parse_run_config(data) -> RunConfig:
     )
 
 
-# The modules whose code decides a rule-based record, a vote, and a corpus line.
+# The modules whose code decides a rule-based record, a model record, a vote, and a corpus line.
 _RULE_BASED_SOURCES = ("annotator.py", "normalize.py", "gazetteer.py")
+_MODEL_SOURCES = ("llm.py", "normalize.py", "gazetteer.py")
 _ENSEMBLE_SOURCES = ("ensemble.py", "normalize.py")
 _INGEST_SOURCES = ("corpus.py", "normalize.py")
 
@@ -279,6 +280,12 @@ def rule_based_source_digest() -> str:
 
 
 @lru_cache(maxsize=1)
+def model_source_digest() -> str:
+    """``source_digest`` of the modules that make a model record, once per process."""
+    return source_digest(_MODEL_SOURCES)
+
+
+@lru_cache(maxsize=1)
 def ensemble_source_digest() -> str:
     """``source_digest`` of the modules that vote, once per process."""
     return source_digest(_ENSEMBLE_SOURCES)
@@ -293,13 +300,13 @@ def ingest_source_digest() -> str:
 def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> dict[str, str]:
     """Each extractor's sha256 over canonical JSON of everything that decides its records.
 
-    A rule-based extractor's covers the bundled gazetteer tables and the
-    source of its modules; a model extractor's its model profile, template
-    and the sampling; an ensemble's its members' ids, its policy and the
-    source of ``ensemble.py`` and ``normalize.py`` (its input digests cover
-    its members' records, so their fingerprints would add nothing). Where
-    answers come from is left out: the transport mode and the endpoint,
-    which the request digest keying the cache omits too.
+    A rule-based or model extractor's covers the bundled gazetteer tables
+    and the source of its modules; a model extractor's also its model
+    profile, template and the sampling; an ensemble's its members' ids, its
+    policy and the source of ``ensemble.py`` and ``normalize.py`` (its input
+    digests cover its members' records, so their fingerprints would add
+    nothing). Where answers come from is left out: the transport mode and
+    the endpoint, which the request digest keying the cache omits too.
     Members come before their ensembles in the result; an ensemble that
     is, through its members, its own member is a ConfigError.
     """
@@ -313,9 +320,9 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
         if spec.id in within:
             raise ConfigError(f"ensemble {spec.id!r} is a member of itself via {list(within)}")
         source: dict = {"kind": spec.kind}
-        if spec.kind == RULE_BASED:
-            source["gazetteer"] = gazetteer
-            source["code"] = rule_based_source_digest()
+        if spec.kind != ENSEMBLE:
+            code = rule_based_source_digest if spec.kind == RULE_BASED else model_source_digest
+            source["gazetteer"], source["code"] = gazetteer, code()
         if spec.profile is not None:
             source["model"] = {k: v for k, v in vars(spec.profile).items() if k != "endpoint"}
             # The scaffold is derived from the template's other fields.

@@ -204,9 +204,9 @@ REQUEST_TIMEOUT_S = 60.0
 class Transport:
     """Chat-completion transport with retries and a response cache.
 
-    REPLAY answers purely from the cache and never touches the network;
-    RECORD performs live calls and persists every response keyed by the
-    request digest; LIVE neither reads nor writes the cache.
+    REPLAY and RECORD answer from the cache, keyed by the request digest,
+    when it holds the request; on a miss REPLAY fails and RECORD makes the
+    call and persists its response. LIVE neither reads nor writes the cache.
     """
 
     mode: TransportMode = TransportMode.LIVE
@@ -350,18 +350,21 @@ def complete(
     messages: Sequence[Mapping],
     sampling: Sampling = Sampling(),
 ) -> str:
-    """Send one chat completion and return the model text.
+    """Return the model text for one chat completion.
 
-    Each attempt opens one connection and closes it. Transient failures
-    (connection errors, 429/5xx) are retried with exponential backoff up to
-    the transport's attempt limit; redirects are not followed.
+    Outside LIVE mode the cache answers first: a hit returns its text, a
+    miss raises CacheMiss in REPLAY and sends the request in RECORD, and an
+    unreadable entry is a TransportError naming its path. Each attempt
+    opens one connection and closes it. Transient failures (connection
+    errors, 429/5xx) are retried with exponential backoff up to the
+    transport's attempt limit; redirects are not followed.
     """
     digest = request_digest(model.name, messages, sampling)
-    if transport.mode is TransportMode.REPLAY:
-        entry = transport.read_cached(digest)
-        if entry is None:
-            raise CacheMiss(f"no cached response for digest {digest}")
+    entry = None if transport.mode is TransportMode.LIVE else transport.read_cached(digest)
+    if entry is not None:
         return _content_of(entry["response"], lambda: transport.cache_path(digest))
+    if transport.mode is TransportMode.REPLAY:
+        raise CacheMiss(f"no cached response for digest {digest}")
 
     https, host, port, target = _endpoint_address(model.endpoint)
     api_key = os.environ.get(API_KEY_ENV)

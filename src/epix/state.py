@@ -7,9 +7,7 @@ the data file, in file order. The sidecar vouches for the data file's first
 lines when each hashes, in order, to its row's record digest (see
 ``vouched``). When its data file is appended, the journal is appended after
 it; when its data file is rewritten, so is the journal. A torn journal tail
-is ignored and cut on the next append. A sidecar in the older one-object
-form, ``{"fingerprint": …, "documents": {id: [input, record]}}``, still
-vouches, and its next write rewrites it as a journal.
+is ignored and cut on the next append.
 
 ``ingest``, ``extract`` and ``evaluate`` read and write state only here.
 """
@@ -26,7 +24,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from .corpus import Document, ExtractionRecord, json_line, read_jsonl, write_atomic
+from .corpus import Document, ExtractionRecord, read_jsonl, write_atomic
 from .errors import SchemaError
 
 if TYPE_CHECKING:
@@ -43,22 +41,21 @@ def document_digest(doc: Document) -> str:
 
 
 class Sidecar(NamedTuple):
-    """A sidecar as read: its fingerprint, the ``[input digest, record
+    """A journal as read: its fingerprint, the ``[input digest, record
     digest]`` entry of each committed line by document id, in file order,
-    and the length of its whole lines, which a journal append goes after;
-    ``length`` is None for the old one-object form, which must be rewritten."""
+    and the length of its whole lines, which a journal append goes after."""
 
     fingerprint: str
     documents: dict[str, list[str]]
-    length: Optional[int]
+    length: int
 
 
 def read_state(path: Path) -> Optional[Sidecar]:
     """The sidecar at ``path``; none when the file does not exist.
 
     Bytes after the journal's last newline (a torn append) are not read.
-    Anything else that is not a journal or an old one-object sidecar, or a
-    journal that repeats a document id, is a SchemaError naming the file.
+    Anything else that is not a journal, or a journal that repeats a
+    document id, is a SchemaError naming the file.
     """
     try:
         data = path.read_bytes()
@@ -67,33 +64,26 @@ def read_state(path: Path) -> Optional[Sidecar]:
     head, newline, body = data.partition(b"\n")
     try:
         header = json.loads(head)
-        if newline and type(header) is dict and list(header) == ["fingerprint"]:
-            *lines, tail = body.split(b"\n")
-            # One parse for every row, then one pass over their shapes.
-            rows = json.loads(b"[" + b",".join(lines) + b"]")
-            ok = len(rows) == len(lines) and all(
-                type(r) is list and len(r) == 3
-                and type(r[0]) is str and type(r[1]) is str and type(r[2]) is str
-                for r in rows
-            )
-            documents = {r[0]: r[1:] for r in rows} if ok else {}
-            if ok and len(documents) < len(rows):
-                repeated = [d for d, n in Counter(r[0] for r in rows).items() if n > 1]
-                raise SchemaError(f"{path}: unreadable resume state (repeated ids {repeated})")
-            state = Sidecar(header["fingerprint"], documents, len(data) - len(tail))
-        else:
-            old = json.loads(data)
-            documents = old.get("documents") if type(old) is dict else None
-            ok = type(documents) is dict and all(
-                type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
-                for e in documents.values()
-            )
-            state = Sidecar(old.get("fingerprint"), documents, None) if ok else None
+        *lines, tail = body.split(b"\n")
+        # One parse for every row, then one pass over their shapes.
+        rows = json.loads(b"[" + b",".join(lines) + b"]")
     except ValueError as exc:
         raise SchemaError(f"{path}: unreadable resume state ({exc})") from None
-    if not (ok and type(state.fingerprint) is str):
+    if not (
+        newline and type(header) is dict and list(header) == ["fingerprint"]
+        and type(header["fingerprint"]) is str and len(rows) == len(lines)
+        and all(
+            type(r) is list and len(r) == 3
+            and type(r[0]) is str and type(r[1]) is str and type(r[2]) is str
+            for r in rows
+        )
+    ):
         raise SchemaError(f"{path}: unreadable resume state")
-    return state
+    documents = {r[0]: r[1:] for r in rows}
+    if len(documents) < len(rows):
+        repeated = [d for d, n in Counter(r[0] for r in rows).items() if n > 1]
+        raise SchemaError(f"{path}: unreadable resume state (repeated ids {repeated})")
+    return Sidecar(header["fingerprint"], documents, len(data) - len(tail))
 
 
 def vouched(data: bytes, documents: dict) -> Optional[list[bytes]]:
@@ -219,8 +209,8 @@ def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str
     when the sidecar's fingerprint is ``fingerprint`` and the input digest
     of the line's document is unchanged. Bytes the sidecar does not vouch
     for are read in full, so an input error names its line: a file without
-    a sidecar, whose records are all adopted, a file whose lines fail that
-    check, and whole lines after the committed bytes (added by hand, or
+    a sidecar or whose lines fail that check, whose records are then all
+    redone, and whole lines after the committed bytes (added by hand, or
     appended while the journal append was not). Other bytes after the
     committed ones are what an interrupted append leaves, and are cut.
     Appending is safe when every committed record is reused.
@@ -234,9 +224,7 @@ def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str
     length = 0 if lines is None else sum(map(len, lines))
     tail = data[length:]
     if lines is None or tail.endswith(b"\n"):
-        records = read_records(path, data)
-        if state is None:
-            found.lines = {r.document_id: json_line(r) for r in records if r.document_id in inputs}
+        read_records(path, data)
         if lines is None:
             return found
     found.cut = bool(tail)

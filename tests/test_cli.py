@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -218,7 +219,7 @@ def _seed_cache(tmp_path, docs, answer, model="gpt-4-32k", template="zero-shot",
     ], transport
 
 
-@pytest.mark.parametrize(
+_CORRUPT_ENTRIES = pytest.mark.parametrize(
     "entry",
     [
         b"{corrupt", b'{"digest": "x"}', b'{"response": "\xff"}', b'{"response": {}}',
@@ -227,6 +228,9 @@ def _seed_cache(tmp_path, docs, answer, model="gpt-4-32k", template="zero-shot",
     ],
     ids=["torn", "no-response", "not-utf-8", "no-choices", "content-number", "content-null"],
 )
+
+
+@_CORRUPT_ENTRIES
 def test_corrupt_cache_entry_keeps_finished_records(tmp_path, capsys, entry):
     docs = _small_corpus(tmp_path)
     digests, transport = _seed_cache(
@@ -348,7 +352,7 @@ def test_predictions_value_of_the_wrong_type_exits_2_naming_its_line(
     config = _extract_and_evaluate(tmp_path)
     predictions = _predictions_file(tmp_path, "rule")
     predictions.write_bytes(_edit_line(1, before, after)(predictions.read_bytes()))
-    # No sidecar, as an older epix left it: extract would adopt every record it reads.
+    # No sidecar: extract reads every record in full before it would redo them all.
     _state_file(tmp_path, "rule").unlink()
     capsys.readouterr()
     for command in ("evaluate", "extract"):
@@ -765,44 +769,59 @@ def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
         assert f"{ext}: 3 records (0 new)" in out
 
 
-def _assert_only_rule_based_redone(tmp_path, monkeypatch, capsys, digest):
-    """A changed ``digest`` in ``cli`` redoes every rule-based record, and nothing else."""
+def _assert_redone(tmp_path, monkeypatch, capsys, digest, redone):
+    """A changed ``digest`` in ``cli`` redoes every record of the ``redone``
+    extractors, and nothing else."""
     _, config = _three_extractors(tmp_path)
     before = {ext: _predictions(tmp_path, ext) for ext in _THREE}
     monkeypatch.setattr(cli, digest, lambda: "0" * 64)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     out = capsys.readouterr().out
-    assert "rule: 3 records (3 new)" in out
-    # The rule records came out the same, so the model's and the vote stand.
-    assert "m: 3 records (0 new)" in out and "ens: 3 records (0 new)" in out
+    for ext in _THREE:
+        assert f"{ext}: 3 records ({3 if ext in redone else 0} new)" in out, ext
+    # The redone records came out the same, so the vote stands.
     assert {ext: _predictions(tmp_path, ext) for ext in _THREE} == before
 
 
 def test_changed_gazetteer_reextracts_every_rule_based_document(tmp_path, monkeypatch, capsys):
-    _assert_only_rule_based_redone(tmp_path, monkeypatch, capsys, "bundled_digest")
+    # The model's records are normalized through the gazetteer too.
+    _assert_redone(tmp_path, monkeypatch, capsys, "bundled_digest", ("rule", "m"))
 
 
 def test_changed_rule_based_code_reextracts_every_rule_based_document(
     tmp_path, monkeypatch, capsys
 ):
-    _assert_only_rule_based_redone(tmp_path, monkeypatch, capsys, "rule_based_source_digest")
+    _assert_redone(tmp_path, monkeypatch, capsys, "rule_based_source_digest", ("rule",))
+
+
+def _assert_covers_each_module(monkeypatch, tmp_path, digest, names):
+    """``cli.<digest>`` changes with an edit to each of the ``names`` modules."""
+    for name in names:
+        (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
+    monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
+    of_sources = getattr(cli, digest)
+    digests = set()
+    try:
+        for edited in (None, *names):
+            if edited is not None:
+                with open(tmp_path / edited, "a", encoding="utf-8") as fh:
+                    fh.write("# edited\n")
+            of_sources.cache_clear()
+            digests.add(of_sources())
+    finally:
+        of_sources.cache_clear()
+    assert len(digests) == 4
 
 
 def test_rule_based_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path):
     names = ("annotator.py", "normalize.py", "gazetteer.py")
-    for name in names:
-        (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
-    monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
-    digests = set()
-    for edited in (None, *names):
-        if edited is not None:
-            with open(tmp_path / edited, "a", encoding="utf-8") as fh:
-                fh.write("# edited\n")
-        cli.rule_based_source_digest.cache_clear()
-        digests.add(cli.rule_based_source_digest())
-    cli.rule_based_source_digest.cache_clear()
-    assert len(digests) == 4
+    _assert_covers_each_module(monkeypatch, tmp_path, "rule_based_source_digest", names)
+
+
+def test_model_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path):
+    names = ("llm.py", "normalize.py", "gazetteer.py")
+    _assert_covers_each_module(monkeypatch, tmp_path, "model_source_digest", names)
 
 
 def test_ensemble_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path, capsys):
@@ -894,23 +913,33 @@ def test_ensemble_over_a_stale_member_file_exits_2(tmp_path, capsys, stale):
     assert ensemble.read_bytes() == before
 
 
-def test_predictions_file_without_sidecar_is_adopted_once(tmp_path, capsys):
-    docs = _small_corpus(tmp_path)
-    digests, transport = _seed_cache(tmp_path, docs, _FRANCE)
-    config = _write_config(tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}])
-    assert main(["--config", str(config), "extract"]) == 0
-    # As an older epix left it: no sidecar. Re-sending the old requests would fail.
-    (tmp_path / "out" / "state" / "m.json").unlink()
-    for digest in digests:
-        transport.cache_path(digest).unlink()
-    _add_document(tmp_path, docs)
+@pytest.mark.parametrize(
+    "edit, seeded",
+    [(_set_template, {"template": "three-shot"}), (_set_model, {"model": "gpt-35-turbo-16k"})],
+    ids=["template", "model"],
+)
+def test_lost_state_and_a_changed_model_extractor_redo_every_record(
+    tmp_path, capsys, edit, seeded
+):
+    docs, config = _three_extractors(tmp_path)
+    _seed_cache(tmp_path, docs, _ITALY, **seeded)
+    shutil.rmtree(tmp_path / "out" / "state")
+    _edit_config(config, edit)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
-    assert "m: 4 records (1 new)" in capsys.readouterr().out
-    assert (tmp_path / "out" / "state" / "m.json").exists()
-    # Adopted records then follow the sidecar rules: a template change redoes them.
-    _edit_config(config, lambda data: data["extractors"][0].update(template="three-shot"))
-    assert main(["--config", str(config), "extract"]) == 3
+    out = capsys.readouterr().out
+    for ext in _THREE:
+        assert f"{ext}: 3 records (3 new)" in out, ext
+    assert [r["country"]["alpha3"] for r in _predictions(tmp_path, "m")] == ["ITA"] * 3
+    assert main(["--config", str(config), "--output", str(tmp_path / "clean"), "extract"]) == 0
+    for ext in _THREE:
+        assert _predictions(tmp_path, ext) == _predictions(tmp_path, ext, out="clean"), ext
+    # The rewritten sidecars vouch under the new fingerprints.
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    out = capsys.readouterr().out
+    for ext in _THREE:
+        assert f"{ext}: 3 records (0 new)" in out, ext
 
 
 def test_failure_on_one_document_keeps_the_finished_records(tmp_path, monkeypatch, capsys):
@@ -1119,58 +1148,25 @@ def _no_writes(monkeypatch):
     monkeypatch.setattr(state, "open", _no_write, raising=False)
 
 
-def _old_sidecar(sidecar, data, four_keys):
-    """A journal in the one-object form older versions wrote: its fingerprint
-    and documents, and in the four-key form the whole ``data``'s length and SHA-256."""
+@pytest.mark.parametrize("four_keys", [False, True], ids=["two-key", "four-key"])
+def test_one_object_sidecar_exits_2_naming_it_and_writing_nothing(
+    tmp_path, monkeypatch, capsys, four_keys
+):
+    _, config = _three_extractors(tmp_path)
+    sidecar = _state_file(tmp_path, "m")
     header, rows = _journal(sidecar)
+    # The one JSON object older versions wrote, with or without the whole file's length and SHA-256.
     old = dict(header)
     if four_keys:
+        data = _predictions_file(tmp_path, "m").read_bytes()
         old |= {"length": len(data), "sha256": hashlib.sha256(data).hexdigest()}
     old["documents"] = {doc_id: entry for doc_id, *entry in rows}
-    return json.dumps(old, separators=(",", ":")).encode("utf-8")
-
-
-def _assert_old_sidecars_vouch_then_become_journals(tmp_path, monkeypatch, capsys, four_keys):
-    docs, config = _three_extractors(tmp_path)
-    journals = {}
-    for ext in _THREE:
-        sidecar = _state_file(tmp_path, ext)
-        journals[ext] = _journal(sidecar)
-        data = _predictions_file(tmp_path, ext).read_bytes()
-        sidecar.write_bytes(_old_sidecar(sidecar, data, four_keys))
+    sidecar.write_text(json.dumps(old, separators=(",", ":")), encoding="utf-8")
     _no_writes(monkeypatch)
     capsys.readouterr()
-    assert main(["--config", str(config), "extract"]) == 0
-    out = capsys.readouterr().out
-    for ext in _THREE:
-        assert f"{ext}: 3 records (0 new)" in out
-    monkeypatch.undo()
-    calls = _count_codec_calls(monkeypatch)
-    assert main(["--config", str(config), "evaluate"]) == 0
-    assert calls["decode"] == 0
-    # The first append rewrites the sidecar as a journal; a later one adds its rows.
-    _add_document(tmp_path, docs)
-    assert main(["--config", str(config), "extract"]) == 0
-    for ext in _THREE:
-        header, rows = _journal(_state_file(tmp_path, ext))
-        assert header == journals[ext][0] and rows[:3] == journals[ext][1], ext
-        assert [row[0] for row in rows] == ["d0", "d1", "d2", "d9"], ext
-    before = {ext: _state_file(tmp_path, ext).read_bytes() for ext in _THREE}
-    _add_document(tmp_path, docs, "d10")
-    assert main(["--config", str(config), "extract"]) == 0
-    for ext in _THREE:
-        after = _state_file(tmp_path, ext).read_bytes()
-        assert after.startswith(before[ext]) and after.count(b"\n") == 6, ext
-
-
-def test_sidecar_with_the_old_length_and_sha256_keys_is_still_vouched(
-    tmp_path, monkeypatch, capsys
-):
-    _assert_old_sidecars_vouch_then_become_journals(tmp_path, monkeypatch, capsys, True)
-
-
-def test_one_object_sidecar_is_still_vouched_and_becomes_a_journal(tmp_path, monkeypatch, capsys):
-    _assert_old_sidecars_vouch_then_become_journals(tmp_path, monkeypatch, capsys, False)
+    assert main(["--config", str(config), "extract", "--only", "m"]) == 2
+    err = capsys.readouterr().err
+    assert str(sidecar) in err and "unreadable resume state" in err
 
 
 def _whole_file_vouched(data, state):
@@ -1274,20 +1270,25 @@ def test_line_digests_vouch_exactly_when_the_whole_file_digest_did(data):
         assert b"".join(vouched) == committed
 
 
+def _vouch(data, documents):
+    """Whether ``documents`` vouch for ``data`` and, when they do, the bytes
+    after the committed lines."""
+    vouched = state.vouched(data, documents)
+    return vouched is not None, None if vouched is None else data[sum(map(len, vouched)) :]
+
+
 def _verdict(data, sidecar_path):
-    """What the sidecar file says of ``data``: that it cannot be read, or
-    whether it vouches and, when it does, the bytes after the committed lines."""
+    """What the sidecar file says of ``data``: that it cannot be read, or ``_vouch``'s verdict."""
     try:
         found = state.read_state(sidecar_path)
     except SchemaError:
         return "unreadable"
-    vouched = state.vouched(data, found.documents)
-    return vouched is not None, None if vouched is None else data[sum(map(len, vouched)) :]
+    return _vouch(data, found.documents)
 
 
 @settings(max_examples=300)
 @given(st.data())
-def test_journal_vouches_exactly_as_the_one_object_sidecar(data):
+def test_journal_cut_at_any_byte_vouches_exactly_as_its_whole_rows(data):
     lines = {f"d{i}": _note(i) for i in range(data.draw(st.integers(0, 4)))}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -1305,13 +1306,11 @@ def test_journal_vouches_exactly_as_the_one_object_sidecar(data):
             expected = "unreadable"
         else:
             kept = dict(list(written.entries.items())[:rows])
-            one_object = {"fingerprint": "f", "documents": kept}
-            (tmp / "one.json").write_text(json.dumps(one_object), encoding="utf-8")
-            expected = _verdict(edited, tmp / "one.json")
+            expected = _vouch(edited, kept)
             assert state.read_state(written.state_path).length == cut.rfind(b"\n") + 1
         if rows == len(lines):
             sha256 = hashlib.sha256(committed).hexdigest()
-            four_keys = {**one_object, "length": len(committed), "sha256": sha256}
+            four_keys = {"documents": kept, "length": len(committed), "sha256": sha256}
             assert expected == _whole_file_vouched(edited, four_keys)
         assert _verdict(edited, written.state_path) == expected
 
@@ -1426,6 +1425,8 @@ def test_model_fingerprint_covers_the_template_fields_not_its_scaffold(tmp_path)
             ],
         },
         "sampling": {"temperature": 0.0, "max_tokens": 512},
+        "gazetteer": bundled_digest(),
+        "code": cli.model_source_digest(),
     }
     canonical = json.dumps(source, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     assert config.fingerprints["m"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -1565,6 +1566,64 @@ def test_record_extract_at_concurrency_2_runs_through_the_pool(
     assert any(name.startswith("ThreadPoolExecutor") for name in started), started
     assert len(handler.seen) == 3
     assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1", "d2"]
+
+
+@pytest.mark.parametrize("missing", [0, 1, 3])
+def test_record_redo_after_lost_state_sends_one_request_per_missing_cache_entry(
+    tmp_path, monkeypatch, capsys, stub_server, missing
+):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_FRANCE))]
+    config = _record_config(tmp_path, monkeypatch, endpoint)
+    assert main(["--config", str(config), "extract"]) == 0
+    before = _predictions_file(tmp_path, "m").read_bytes()
+    shutil.rmtree(tmp_path / "out" / "state")
+    entries = sorted((tmp_path / "cache").glob("*.json"))
+    for entry in entries[:missing]:
+        entry.unlink()
+    handler.seen.clear()
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    assert "m: 3 records (3 new)" in capsys.readouterr().out
+    assert len(handler.seen) == missing
+    assert _predictions_file(tmp_path, "m").read_bytes() == before
+    assert sorted((tmp_path / "cache").glob("*.json")) == entries
+
+
+@_CORRUPT_ENTRIES
+def test_corrupt_cache_entry_in_record_mode_exits_3_naming_it(
+    tmp_path, monkeypatch, capsys, stub_server, entry
+):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_ITALY))]
+    # At concurrency 1 the documents run in turn, so the corrupt entry is read last.
+    config = _record_config(tmp_path, monkeypatch, endpoint, concurrency=1)
+    digests, transport = _seed_cache(tmp_path, load_corpus(tmp_path / "corpus.jsonl"), _FRANCE)
+    corrupt = transport.cache_path(digests[-1])
+    corrupt.write_bytes(entry)
+    assert main(["--config", str(config), "extract"]) == 3
+    assert str(corrupt) in capsys.readouterr().err
+    # Neither answered anew nor overwritten: the entry is left for a person to look at.
+    assert handler.seen == [] and corrupt.read_bytes() == entry
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1"]
+
+
+@pytest.mark.parametrize("digest", ["bundled_digest", "model_source_digest"])
+def test_changed_tables_or_model_code_redo_record_mode_records_without_a_request(
+    tmp_path, monkeypatch, capsys, stub_server, digest
+):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_FRANCE))]
+    config = _record_config(tmp_path, monkeypatch, endpoint)
+    assert main(["--config", str(config), "extract"]) == 0
+    assert len(handler.seen) == 3
+    before = _predictions_file(tmp_path, "m").read_bytes()
+    monkeypatch.setattr(cli, digest, lambda: "0" * 64)
+    capsys.readouterr()
+    assert main(["--config", str(config), "extract"]) == 0
+    assert "m: 3 records (3 new)" in capsys.readouterr().out
+    assert len(handler.seen) == 3
+    assert _predictions_file(tmp_path, "m").read_bytes() == before
 
 
 def test_reply_that_is_not_json_exits_3_keeping_finished_records(

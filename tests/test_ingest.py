@@ -230,7 +230,7 @@ def test_reingest_parses_only_the_new_files_and_appends_them(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("four_keys", [False, True], ids=["two-key", "four-key"])
-def test_old_one_object_sidecar_is_vouched_then_becomes_a_journal(tmp_path, monkeypatch, four_keys):
+def test_old_one_object_sidecar_forces_a_full_ingest(tmp_path, monkeypatch, four_keys):
     raw = _raw_dir(tmp_path, ["a.txt", "b.txt", "c.txt"])
     corpus = tmp_path / "corpus.jsonl"
     assert _ingest("promed", raw, corpus) == 0
@@ -244,22 +244,12 @@ def test_old_one_object_sidecar_is_vouched_then_becomes_a_journal(tmp_path, monk
     old["documents"] = {doc_id: entry for doc_id, *entry in rows}
     _sidecar(corpus).write_text(json.dumps(old, separators=(",", ":")), encoding="utf-8")
     parsed = _count_parses(monkeypatch)
-    monkeypatch.setattr(state, "open", _no_write, raising=False)
-    monkeypatch.setattr(state, "write_atomic", _no_write)
     assert _ingest("promed", raw, corpus) == 0
-    assert not parsed
+    assert sum(parsed.values()) == 3
     monkeypatch.undo()
-    # The first append rewrites the sidecar as a journal; a later one appends its rows.
-    (raw / "d.txt").write_bytes(BODIES[1])
-    assert _ingest("promed", raw, corpus) == 0
-    upgraded = _sidecar(corpus).read_bytes()
-    assert upgraded.startswith(journal) and upgraded.count(b"\n") == 5
-    (raw / "e.txt").write_bytes(BODIES[2])
-    assert _ingest("promed", raw, corpus) == 0
-    after = _sidecar(corpus).read_bytes()
-    assert after.startswith(upgraded) and after.count(b"\n") == 6
+    # Rewritten whole, as a journal.
     assert corpus.read_bytes() == _fresh("promed", raw, tmp_path)
-    assert after == _sidecar(tmp_path / "fresh.jsonl").read_bytes()
+    assert _sidecar(corpus).read_bytes() == journal
 
 
 @pytest.mark.parametrize("source", SOURCES)
