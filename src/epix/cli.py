@@ -257,53 +257,32 @@ def _parse_run_config(data) -> RunConfig:
     )
 
 
-# The modules whose code decides a rule-based record, a model record, a vote, and a corpus line.
-_RULE_BASED_SOURCES = ("annotator.py", "normalize.py", "gazetteer.py")
-_MODEL_SOURCES = ("llm.py", "normalize.py", "gazetteer.py")
-_ENSEMBLE_SOURCES = ("ensemble.py", "normalize.py")
-_INGEST_SOURCES = ("corpus.py", "normalize.py")
+# The modules whose code decides a corpus line, a rule-based record, a model record and a vote.
+_SOURCES = {
+    "ingest": ("corpus.py", "normalize.py", "cli.py"),
+    RULE_BASED: ("annotator.py", "normalize.py", "gazetteer.py"),
+    LLM: ("llm.py", "normalize.py", "gazetteer.py"),
+    ENSEMBLE: ("ensemble.py", "normalize.py"),
+}
 
 
-def source_digest(names: Sequence[str]) -> str:
-    """sha256 over the source of the named epix modules, file by file."""
+@lru_cache(maxsize=None)
+def source_digest(kind: str) -> str:
+    """sha256 over the source of the ``_SOURCES[kind]`` modules, file by file, once per process."""
     digest = hashlib.sha256()
-    for name in names:
+    for name in _SOURCES[kind]:
         source = Path(annotator.__file__).with_name(name).read_bytes()
         digest.update(hashlib.sha256(source).digest())
     return digest.hexdigest()
 
 
-@lru_cache(maxsize=1)
-def rule_based_source_digest() -> str:
-    """``source_digest`` of the rule-based extractor's modules, once per process."""
-    return source_digest(_RULE_BASED_SOURCES)
-
-
-@lru_cache(maxsize=1)
-def model_source_digest() -> str:
-    """``source_digest`` of the modules that make a model record, once per process."""
-    return source_digest(_MODEL_SOURCES)
-
-
-@lru_cache(maxsize=1)
-def ensemble_source_digest() -> str:
-    """``source_digest`` of the modules that vote, once per process."""
-    return source_digest(_ENSEMBLE_SOURCES)
-
-
-@lru_cache(maxsize=1)
-def ingest_source_digest() -> str:
-    """``source_digest`` of the modules that turn a raw file into a corpus line."""
-    return source_digest(_INGEST_SOURCES)
-
-
 def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> dict[str, str]:
     """Each extractor's sha256 over canonical JSON of everything that decides its records.
 
-    A rule-based or model extractor's covers the bundled gazetteer tables
-    and the source of its modules; a model extractor's also its model
-    profile, template and the sampling; an ensemble's its members' ids, its
-    policy and the source of ``ensemble.py`` and ``normalize.py`` (its input
+    Each covers the source of its kind's modules (``_SOURCES``). A
+    rule-based or model extractor's also covers the bundled gazetteer
+    tables; a model extractor's also its model profile, template and the
+    sampling; an ensemble's its members' ids and its policy (its input
     digests cover its members' records, so their fingerprints would add
     nothing). Where answers come from is left out: the transport mode and
     the endpoint, which the request digest keying the cache omits too.
@@ -319,10 +298,9 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
             return done[spec.id]
         if spec.id in within:
             raise ConfigError(f"ensemble {spec.id!r} is a member of itself via {list(within)}")
-        source: dict = {"kind": spec.kind}
+        source: dict = {"kind": spec.kind, "code": source_digest(spec.kind)}
         if spec.kind != ENSEMBLE:
-            code = rule_based_source_digest if spec.kind == RULE_BASED else model_source_digest
-            source["gazetteer"], source["code"] = gazetteer, code()
+            source["gazetteer"] = gazetteer
         if spec.profile is not None:
             source["model"] = {k: v for k, v in vars(spec.profile).items() if k != "endpoint"}
             # The scaffold is derived from the template's other fields.
@@ -334,7 +312,6 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
                 visit(specs[member], inner)
             source["members"] = spec.ensemble.members
             source["policy"] = spec.ensemble.policy
-            source["code"] = ensemble_source_digest()
         # Dataclasses encode as their fields (``default=vars``).
         canonical = json.dumps(
             source, default=vars, sort_keys=True, separators=(",", ":"), ensure_ascii=False
@@ -375,12 +352,10 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
     Only raw files that are new or whose bytes changed are parsed. The
     sidecar ``<out>.state.json`` maps each document id to the SHA-256 of its
     raw file and of its corpus line, under a fingerprint of ``source`` and
-    the ingest code (see ``state.committed``). When the sidecar vouches
-    for every byte of the corpus and its fingerprint matches, a document
-    whose raw bytes are unchanged keeps its line, copied as bytes, and
-    ``state.Stored.save`` appends, rewrites in file-name order or leaves
-    the corpus as it is. Either way the corpus is byte-identical to a full
-    ingest's.
+    the ingest code. ``state.stored`` decides which lines are reused, as for
+    predictions, except that a sidecar it cannot read means a full ingest,
+    an append must keep file-name order, and unvouched corpus bytes are not
+    decoded. Either way the corpus is byte-identical to a full ingest's.
 
     An empty raw file, two raw files with one id (``a.txt`` and
     ``a.html``), an ``out_path`` that is the raw input file, or one in the
@@ -404,14 +379,22 @@ def cmd_ingest(source: str, input_path: Path, out_path: Path) -> int:
             raise SchemaError(f"{twin} and {file} would both be document {file.stem!r}")
 
     state_path = out_path.with_name(out_path.name + ".state.json")
-    fingerprint = state.digest(source, ingest_source_digest())
-    stored = state.committed(out_path, state_path, fingerprint, by_stem)
-    new: dict[str, bytes] = {}
-    for stem, file in by_stem.items():
-        raw = file.read_bytes()
-        stored.inputs[stem] = hashlib.sha256(raw).hexdigest()
-        if stem not in stored.entries or stored.entries[stem][0] != stored.inputs[stem]:
-            new[stem] = _corpus_line(source, file, raw)
+    fingerprint = state.digest(source, source_digest("ingest"))
+    inputs = {stem: hashlib.sha256(file.read_bytes()).hexdigest() for stem, file in by_stem.items()}
+    try:
+        # Unvouched corpus bytes go unread: their raw files are parsed anew.
+        stored = state.stored(
+            out_path, state_path, fingerprint, inputs, read=lambda path, data: None
+        )
+    except (SchemaError, OSError):
+        stored = state.Stored(out_path, state_path, fingerprint, inputs)  # a full ingest
+    if list(by_stem)[: len(stored.entries)] != list(stored.entries):
+        stored.offset = None  # an append would not be in file-name order
+    new = {
+        stem: _corpus_line(source, file, file.read_bytes())
+        for stem, file in by_stem.items()
+        if stem not in stored.lines
+    }
     stored.save(new, by_stem)
     if not by_stem:
         print("warning: no input files found", file=sys.stderr)

@@ -9,7 +9,9 @@ lines when each hashes, in order, to its row's record digest (see
 it; when its data file is rewritten, so is the journal. A torn journal tail
 is ignored and cut on the next append.
 
-``ingest``, ``extract`` and ``evaluate`` read and write state only here.
+``stored`` decides what a resume reuses, for a corpus and for predictions
+alike. ``ingest``, ``extract`` and ``evaluate`` read and write state only
+here.
 """
 
 from __future__ import annotations
@@ -200,20 +202,23 @@ class Stored:
             raise
 
 
-def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str]) -> Stored:
-    """Check a predictions file against its sidecar.
+def stored(
+    path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str], *, read=read_records
+) -> Stored:
+    """Check a corpus or predictions file against its sidecar.
 
     The sidecar vouches for the file's first lines, one per entry, when
     each hashes, in order, to its entry's record digest (see ``vouched``);
     those lines are the committed bytes. A vouched line is reused as it is
     when the sidecar's fingerprint is ``fingerprint`` and the input digest
     of the line's document is unchanged. Bytes the sidecar does not vouch
-    for are read in full, so an input error names its line: a file without
-    a sidecar or whose lines fail that check, whose records are then all
-    redone, and whole lines after the committed bytes (added by hand, or
-    appended while the journal append was not). Other bytes after the
-    committed ones are what an interrupted append leaves, and are cut.
-    Appending is safe when every committed record is reused.
+    for go to ``read``, which by default reads every record, so an input
+    error names its line: a file without a sidecar or whose lines fail that
+    check, whose lines are then all redone, and whole lines after the
+    committed bytes (added by hand, or appended while the journal append
+    was not). Other bytes after the committed ones are what an interrupted
+    append leaves, and are cut. Appending is safe when every committed line
+    is reused.
     """
     found = Stored(path, state_path, fingerprint, inputs)
     if not path.exists():
@@ -224,7 +229,7 @@ def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str
     length = 0 if lines is None else sum(map(len, lines))
     tail = data[length:]
     if lines is None or tail.endswith(b"\n"):
-        read_records(path, data)
+        read(path, data)
         if lines is None:
             return found
     found.cut = bool(tail)
@@ -235,26 +240,6 @@ def stored(path: Path, state_path: Path, fingerprint: str, inputs: dict[str, str
                 found.lines[doc_id], found.entries[doc_id] = line, entry
     if len(found.entries) == len(state.documents) and not tail.endswith(b"\n"):
         found.offset = length
-    return found
-
-
-def committed(path: Path, state_path: Path, fingerprint: str, order: Iterable[str]) -> Stored:
-    """A data file whose sidecar holds ``fingerprint`` and vouches for every
-    byte of it (see ``wholly_vouched``), with every committed line by
-    document id; otherwise nothing, to be rewritten whole. Lines may be
-    appended only when the committed ids come first in ``order``, as a full
-    write would put them."""
-    found = Stored(path, state_path, fingerprint, {})
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return found
-    vouch = wholly_vouched(data, state_path)
-    if vouch is not None and vouch[0].fingerprint == fingerprint:
-        state, lines = vouch
-        found.lines, found.entries = dict(zip(state.documents, lines)), state.documents
-        if list(order)[: len(lines)] == list(state.documents):
-            found.offset, found.journal = len(data), state.length
     return found
 
 

@@ -769,12 +769,24 @@ def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
         assert f"{ext}: 3 records (0 new)" in out
 
 
+def _change(monkeypatch, digest):
+    """Make ``cli.bundled_digest``, or ``cli.source_digest`` of the kind
+    ``digest``, read as if the tables or that kind's code had changed."""
+    if digest == "bundled_digest":
+        monkeypatch.setattr(cli, digest, lambda: "0" * 64)
+    else:
+        real = cli.source_digest
+        monkeypatch.setattr(
+            cli, "source_digest", lambda kind: "0" * 64 if kind == digest else real(kind)
+        )
+
+
 def _assert_redone(tmp_path, monkeypatch, capsys, digest, redone):
-    """A changed ``digest`` in ``cli`` redoes every record of the ``redone``
-    extractors, and nothing else."""
+    """A changed ``digest`` (see ``_change``) redoes every record of the
+    ``redone`` extractors, and nothing else."""
     _, config = _three_extractors(tmp_path)
     before = {ext: _predictions(tmp_path, ext) for ext in _THREE}
-    monkeypatch.setattr(cli, digest, lambda: "0" * 64)
+    _change(monkeypatch, digest)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     out = capsys.readouterr().out
@@ -792,36 +804,35 @@ def test_changed_gazetteer_reextracts_every_rule_based_document(tmp_path, monkey
 def test_changed_rule_based_code_reextracts_every_rule_based_document(
     tmp_path, monkeypatch, capsys
 ):
-    _assert_redone(tmp_path, monkeypatch, capsys, "rule_based_source_digest", ("rule",))
+    _assert_redone(tmp_path, monkeypatch, capsys, "rule_based", ("rule",))
 
 
-def _assert_covers_each_module(monkeypatch, tmp_path, digest, names):
-    """``cli.<digest>`` changes with an edit to each of the ``names`` modules."""
+def _assert_covers_each_module(monkeypatch, tmp_path, kind, names):
+    """``cli.source_digest(kind)`` changes with an edit to each of the ``names`` modules."""
     for name in names:
         (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
     monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
-    of_sources = getattr(cli, digest)
     digests = set()
     try:
         for edited in (None, *names):
             if edited is not None:
                 with open(tmp_path / edited, "a", encoding="utf-8") as fh:
                     fh.write("# edited\n")
-            of_sources.cache_clear()
-            digests.add(of_sources())
+            cli.source_digest.cache_clear()
+            digests.add(cli.source_digest(kind))
     finally:
-        of_sources.cache_clear()
-    assert len(digests) == 4
+        cli.source_digest.cache_clear()
+    assert len(digests) == len(names) + 1
 
 
 def test_rule_based_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path):
     names = ("annotator.py", "normalize.py", "gazetteer.py")
-    _assert_covers_each_module(monkeypatch, tmp_path, "rule_based_source_digest", names)
+    _assert_covers_each_module(monkeypatch, tmp_path, "rule_based", names)
 
 
 def test_model_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path):
     names = ("llm.py", "normalize.py", "gazetteer.py")
-    _assert_covers_each_module(monkeypatch, tmp_path, "model_source_digest", names)
+    _assert_covers_each_module(monkeypatch, tmp_path, "llm", names)
 
 
 def test_ensemble_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path, capsys):
@@ -831,25 +842,37 @@ def test_ensemble_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path
     for name in names:
         (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
     monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
+    # Only the ensemble's digest is read anew; the members' stay as cached by the first extract.
+    real = cli.source_digest
     digests = set()
-    try:
-        for edited in (None, *names):
-            if edited is not None:
-                with open(tmp_path / edited, "a", encoding="utf-8") as fh:
-                    fh.write("# edited\n")
-            cli.ensemble_source_digest.cache_clear()
-            digests.add(cli.ensemble_source_digest())
-            capsys.readouterr()
-            assert main(["--config", str(config), "extract"]) == 0
-            out = capsys.readouterr().out
-            # Each edit re-votes every document and redoes no member record.
-            new = "0" if edited is None else "3"
-            assert f"ens: 3 records ({new} new)" in out, edited
-            assert "rule: 3 records (0 new)" in out and "m: 3 records (0 new)" in out, edited
-            assert {ext: _predictions(tmp_path, ext) for ext in _THREE} == before
-    finally:
-        cli.ensemble_source_digest.cache_clear()
+    for edited in (None, *names):
+        if edited is not None:
+            with open(tmp_path / edited, "a", encoding="utf-8") as fh:
+                fh.write("# edited\n")
+        digest = real.__wrapped__("ensemble")
+        digests.add(digest)
+        monkeypatch.setattr(
+            cli, "source_digest", lambda kind, d=digest: d if kind == "ensemble" else real(kind)
+        )
+        capsys.readouterr()
+        assert main(["--config", str(config), "extract"]) == 0
+        out = capsys.readouterr().out
+        # Each edit re-votes every document and redoes no member record.
+        new = "0" if edited is None else "3"
+        assert f"ens: 3 records ({new} new)" in out, edited
+        assert "rule: 3 records (0 new)" in out and "m: 3 records (0 new)" in out, edited
+        assert {ext: _predictions(tmp_path, ext) for ext in _THREE} == before
     assert len(digests) == 3
+
+
+def test_every_module_is_in_a_source_table_row_or_decides_nothing():
+    """A new module must be placed: in the row of each kind whose lines or
+    records its code decides, or among those that decide none."""
+    decides_nothing = {"__init__.py", "errors.py", "evaluation.py", "state.py"}
+    covered = {name for names in cli._SOURCES.values() for name in names}
+    modules = {path.name for path in Path(cli.__file__).parent.glob("*.py")}
+    assert covered.isdisjoint(decides_nothing)
+    assert modules == covered | decides_nothing
 
 
 @pytest.mark.parametrize("later", [False, True], ids=["same-run", "later-run"])
@@ -1426,7 +1449,7 @@ def test_model_fingerprint_covers_the_template_fields_not_its_scaffold(tmp_path)
         },
         "sampling": {"temperature": 0.0, "max_tokens": 512},
         "gazetteer": bundled_digest(),
-        "code": cli.model_source_digest(),
+        "code": cli.source_digest("llm"),
     }
     canonical = json.dumps(source, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     assert config.fingerprints["m"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -1442,7 +1465,7 @@ def test_rule_based_fingerprint_covers_the_gazetteer_and_the_code(tmp_path):
     source = {
         "kind": "rule_based",
         "gazetteer": bundled_digest(),
-        "code": cli.rule_based_source_digest(),
+        "code": cli.source_digest("rule_based"),
     }
     assert config.fingerprints["rule"] == _fingerprint_of(source)
 
@@ -1454,7 +1477,7 @@ def test_ensemble_fingerprint_covers_its_members_and_its_policy(tmp_path):
         "kind": "ensemble",
         "members": ["a", "b"],
         "policy": {"min_agreement": 1, "tie_break": "ABSTAIN", "priority": ["b", "a"]},
-        "code": cli.ensemble_source_digest(),
+        "code": cli.source_digest("ensemble"),
     }
     assert config.fingerprints["ab"] == _fingerprint_of(source)
 
@@ -1608,7 +1631,9 @@ def test_corrupt_cache_entry_in_record_mode_exits_3_naming_it(
     assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1"]
 
 
-@pytest.mark.parametrize("digest", ["bundled_digest", "model_source_digest"])
+@pytest.mark.parametrize(
+    "digest", ["bundled_digest", "llm"], ids=["bundled_digest", "model_source_digest"]
+)
 def test_changed_tables_or_model_code_redo_record_mode_records_without_a_request(
     tmp_path, monkeypatch, capsys, stub_server, digest
 ):
@@ -1618,7 +1643,7 @@ def test_changed_tables_or_model_code_redo_record_mode_records_without_a_request
     assert main(["--config", str(config), "extract"]) == 0
     assert len(handler.seen) == 3
     before = _predictions_file(tmp_path, "m").read_bytes()
-    monkeypatch.setattr(cli, digest, lambda: "0" * 64)
+    _change(monkeypatch, digest)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     assert "m: 3 records (3 new)" in capsys.readouterr().out
@@ -2206,6 +2231,15 @@ def test_readme_config_reference_lists_exactly_the_schema_keys():
     listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
     assert len(listed) == len(set(listed))
     assert set(listed) == set(_schema_paths(cli._CONFIG))
+
+
+def test_readme_module_table_is_the_source_table():
+    text = _README.read_text(encoding="utf-8")
+    section = text.split("\n### Resuming\n", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (`.+`) \|$", section, flags=re.MULTILINE)
+    listed = {kind: tuple(re.findall(r"`([^`]+)`", modules)) for kind, modules in rows}
+    assert len(listed) == len(rows)
+    assert listed == cli._SOURCES
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -229,20 +229,25 @@ def test_reingest_parses_only_the_new_files_and_appends_them(tmp_path, monkeypat
     assert corpus.read_bytes() == _fresh(source, raw, tmp_path)
 
 
-@pytest.mark.parametrize("four_keys", [False, True], ids=["two-key", "four-key"])
-def test_old_one_object_sidecar_forces_a_full_ingest(tmp_path, monkeypatch, four_keys):
+@pytest.mark.parametrize("form", ["two-key", "four-key", "repeated-id"])
+def test_old_one_object_sidecar_forces_a_full_ingest(tmp_path, monkeypatch, form):
     raw = _raw_dir(tmp_path, ["a.txt", "b.txt", "c.txt"])
     corpus = tmp_path / "corpus.jsonl"
     assert _ingest("promed", raw, corpus) == 0
     journal = _sidecar(corpus).read_bytes()
     header, *rows = (json.loads(line) for line in journal.splitlines())
-    # The one JSON object older versions wrote, with or without the whole file's length and SHA-256.
-    old = dict(header)
-    if four_keys:
-        data = corpus.read_bytes()
-        old |= {"length": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-    old["documents"] = {doc_id: entry for doc_id, *entry in rows}
-    _sidecar(corpus).write_text(json.dumps(old, separators=(",", ":")), encoding="utf-8")
+    if form == "repeated-id":
+        # A journal that cannot be read: its first row comes again at the end.
+        _sidecar(corpus).write_bytes(journal + journal.splitlines(keepends=True)[1])
+    else:
+        # The one JSON object older versions wrote, with or without the whole
+        # file's length and SHA-256.
+        old = dict(header)
+        if form == "four-key":
+            data = corpus.read_bytes()
+            old |= {"length": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        old["documents"] = {doc_id: entry for doc_id, *entry in rows}
+        _sidecar(corpus).write_text(json.dumps(old, separators=(",", ":")), encoding="utf-8")
     parsed = _count_parses(monkeypatch)
     assert _ingest("promed", raw, corpus) == 0
     assert sum(parsed.values()) == 3
@@ -250,6 +255,33 @@ def test_old_one_object_sidecar_forces_a_full_ingest(tmp_path, monkeypatch, four
     # Rewritten whole, as a journal.
     assert corpus.read_bytes() == _fresh("promed", raw, tmp_path)
     assert _sidecar(corpus).read_bytes() == journal
+
+
+@pytest.mark.parametrize("damage", ["torn-append", "rows-never-appended"])
+def test_reingest_after_an_unfinished_append_parses_only_past_the_vouched_lines(
+    tmp_path, monkeypatch, damage
+):
+    raw = _raw_dir(tmp_path, ["a.txt", "b.txt", "c.txt"])
+    corpus = tmp_path / "corpus.jsonl"
+    assert _ingest("promed", raw, corpus) == 0
+    vouched = corpus.read_bytes()
+    (raw / "d.txt").write_bytes(BODIES[3])
+    if damage == "torn-append":
+        # The corpus append stopped part-way through d's line; no row followed.
+        line = _fresh("promed", raw, tmp_path)[len(vouched):]
+        corpus.write_bytes(vouched + line[: len(line) // 2])
+    else:
+        # d's line was appended, but its journal row never was.
+        journal = _sidecar(corpus).read_bytes()
+        assert _ingest("promed", raw, corpus) == 0
+        _sidecar(corpus).write_bytes(journal)
+    (raw / "e.txt").write_bytes(BODIES[4])  # the new batch
+    parsed = _count_parses(monkeypatch)
+    assert _ingest("promed", raw, corpus) == 0
+    assert sum(parsed.values()) == 2  # d and e; a, b and c keep their lines
+    monkeypatch.undo()
+    assert corpus.read_bytes() == _fresh("promed", raw, tmp_path)
+    assert _sidecar(corpus).read_bytes() == _sidecar(tmp_path / "fresh.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -272,7 +304,10 @@ def test_changed_ingest_code_or_source_reparses_every_file(tmp_path, monkeypatch
     assert _ingest("promed", raw, corpus) == 0
     source = "promed"
     if change == "code":
-        monkeypatch.setattr(cli, "ingest_source_digest", lambda: "0" * 64)
+        real = cli.source_digest
+        monkeypatch.setattr(
+            cli, "source_digest", lambda kind: "0" * 64 if kind == "ingest" else real(kind)
+        )
     else:
         source = "don"
     parsed = _count_parses(monkeypatch)
@@ -282,7 +317,8 @@ def test_changed_ingest_code_or_source_reparses_every_file(tmp_path, monkeypatch
 
 
 def test_ingest_source_digest_covers_corpus_and_normalize(monkeypatch, tmp_path):
-    names = ("corpus.py", "normalize.py")
+    # cli.py decodes each raw file and builds its corpus line.
+    names = ("corpus.py", "normalize.py", "cli.py")
     for name in names:
         (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
     monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
@@ -292,11 +328,11 @@ def test_ingest_source_digest_covers_corpus_and_normalize(monkeypatch, tmp_path)
             if edited is not None:
                 with open(tmp_path / edited, "a", encoding="utf-8") as fh:
                     fh.write("# edited\n")
-            cli.ingest_source_digest.cache_clear()
-            digests.add(cli.ingest_source_digest())
+            cli.source_digest.cache_clear()
+            digests.add(cli.source_digest("ingest"))
     finally:
-        cli.ingest_source_digest.cache_clear()
-    assert len(digests) == 3
+        cli.source_digest.cache_clear()
+    assert len(digests) == 4
 
 
 # --- failures leave the corpus and its sidecar as they were ------------------------------
