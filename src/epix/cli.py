@@ -211,7 +211,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         return _parse_run_config(json.loads(path.read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
-    except (ConfigError, AttributeError, TypeError, ValueError) as exc:
+    except (ConfigError, AttributeError, TypeError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -245,6 +245,8 @@ def _parse_run_config(data) -> RunConfig:
         extractors.append(spec)
 
     transport = config["transport"]
+    if not transport["cache_dir"] and any(spec.kind == LLM for spec in extractors):
+        raise ConfigError("transport.cache_dir is required by model extractors")
     sampling = Sampling(**config["sampling"])
     return RunConfig(
         corpus=Path(config["corpus"]), gold=Path(config["gold"]) if config["gold"] else None,
@@ -408,17 +410,17 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     A record is reused only when the extractor's sidecar proves it current
     (see ``state.stored``); every other document is extracted, and
     ``state.Stored.save`` commits the new records, appended or rewritten in
-    corpus order. Any per-document failure first commits the records
-    finished before it. The transport is built only when a model
-    extractor runs, so rule-based runs need no cache. An
-    ensemble votes from its members' records of this run, and decodes a
-    member's stored line only for documents those lack.
+    corpus order. Any per-document failure first commits the records of
+    the documents before it. A config without model extractors needs no
+    cache, and builds no transport without one. An ensemble votes from its
+    members' records of this run, and decodes a member's stored line only
+    for documents those lack.
     """
     docs = load_corpus(config.corpus)
     reuse = state.Reuse(config, docs)
     order = [doc.id for doc in docs]
     gazetteer = default_gazetteer()
-    transport = None
+    transport = config.transport() if config.cache_dir else None
 
     # Members run before their ensembles, so that their records of this run exist.
     rank = {extractor_id: i for i, extractor_id in enumerate(config.fingerprints)}
@@ -436,8 +438,6 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
                     lambda doc: annotator.extract_rule_based(doc, gazetteer, extractor_id=spec.id),
                 )
             elif spec.kind == LLM:
-                if transport is None:
-                    transport = config.transport()
                 new = llm.extract_documents(
                     missing, spec.profile, spec.template, transport,
                     sampling=config.sampling, extractor_id=spec.id,
@@ -502,7 +502,7 @@ def _prediction_keys(config: RunConfig, extractor_id: str) -> dict[str, tuple]:
     if vouched is not None:
         try:
             return stored_keys(vouched[1])
-        except (LookupError, TypeError, ValueError, AttributeError):
+        except (LookupError, TypeError, ValueError, AttributeError, RecursionError):
             pass  # not what epix writes: the full read below names the fault
     return record_keys(state.read_records(path, data))
 
@@ -543,7 +543,7 @@ def cmd_report(report_path: Path, fmt: str, out_path: Path | None = None) -> int
     """Re-render a stored report into another format."""
     try:
         report = EvaluationReport.from_json(json.loads(report_path.read_text(encoding="utf-8")))
-    except (SchemaError, AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (SchemaError, AttributeError, LookupError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaError(f"{report_path}: not a readable report ({exc})") from None
     rendered = render_report(report, fmt)
     if out_path is not None:
@@ -565,7 +565,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, help="path to the run config (JSON)")
     parser.add_argument("--output", type=Path, help="override the config output directory")
     parser.add_argument(
-        "--mode", choices=["live", "record", "replay"], help="override the transport mode"
+        "--mode", choices=[mode.value.lower() for mode in TransportMode],
+        help="override the transport mode",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

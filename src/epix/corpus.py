@@ -393,7 +393,9 @@ def read_jsonl(
                     item = decode(obj)
                 except json.JSONDecodeError as exc:
                     raise SchemaError(f"invalid JSON ({exc.msg})", path, lineno) from None
-                except (SchemaError, AttributeError, LookupError, TypeError, ValueError) as exc:
+                except (
+                    SchemaError, AttributeError, LookupError, TypeError, ValueError, RecursionError
+                ) as exc:
                     raise SchemaError(str(exc), path, lineno) from None
                 if unique is not None:
                     key = unique(item)
@@ -407,7 +409,9 @@ def read_jsonl(
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # Lines end as the reader splits them: at "\n", "\r\n" or a lone "\r".
+            head = data[: exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
             raise SchemaError("invalid UTF-8", path, line) from None
         raise
     return items

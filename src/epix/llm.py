@@ -185,7 +185,6 @@ def build_messages(
 
 
 class TransportMode(str, Enum):
-    LIVE = "LIVE"
     RECORD = "RECORD"
     REPLAY = "REPLAY"
 
@@ -204,12 +203,12 @@ REQUEST_TIMEOUT_S = 60.0
 class Transport:
     """Chat-completion transport with retries and a response cache.
 
-    REPLAY and RECORD answer from the cache, keyed by the request digest,
-    when it holds the request; on a miss REPLAY fails and RECORD makes the
-    call and persists its response. LIVE neither reads nor writes the cache.
+    Both modes answer from the cache, keyed by the request digest, when it
+    holds the request; on a miss REPLAY fails and RECORD makes the call and
+    persists its response.
     """
 
-    mode: TransportMode = TransportMode.LIVE
+    mode: TransportMode = TransportMode.REPLAY
     cache_dir: Optional[Path] = None
     max_attempts: int = 3
     backoff_base: float = 0.5
@@ -217,10 +216,9 @@ class Transport:
 
     def __post_init__(self):
         self.mode = TransportMode(self.mode)
-        if self.mode in (TransportMode.RECORD, TransportMode.REPLAY):
-            if self.cache_dir is None:
-                raise ConfigError(f"{self.mode.value} mode requires a cache_dir")
-            self.cache_dir = Path(self.cache_dir)
+        if self.cache_dir is None:
+            raise ConfigError(f"{self.mode.value} mode requires a cache_dir")
+        self.cache_dir = Path(self.cache_dir)
 
     def cache_path(self, digest: str) -> Path:
         return self.cache_dir / f"{digest}.json"
@@ -238,6 +236,8 @@ class Transport:
             raise TransportError(f"{path}: corrupt cache entry (invalid UTF-8)") from None
         except json.JSONDecodeError as exc:
             raise TransportError(f"{path}: corrupt cache entry ({exc.msg})") from None
+        except RecursionError as exc:
+            raise TransportError(f"{path}: corrupt cache entry ({exc})") from None
         if not isinstance(entry, dict) or "response" not in entry:
             raise TransportError(f"{path}: corrupt cache entry (no response)")
         return entry
@@ -259,7 +259,7 @@ class Transport:
     ) -> str:
         """Seed the cache with a canned response; returns the digest.
 
-        Useful for building replay fixtures without any live traffic.
+        Useful for building replay fixtures without any network traffic.
         """
         request_body = _request_body(model.name, messages, sampling)
         digest = request_digest(model.name, messages, sampling)
@@ -352,15 +352,15 @@ def complete(
 ) -> str:
     """Return the model text for one chat completion.
 
-    Outside LIVE mode the cache answers first: a hit returns its text, a
-    miss raises CacheMiss in REPLAY and sends the request in RECORD, and an
-    unreadable entry is a TransportError naming its path. Each attempt
-    opens one connection and closes it. Transient failures (connection
-    errors, 429/5xx) are retried with exponential backoff up to the
-    transport's attempt limit; redirects are not followed.
+    The cache answers first: a hit returns its text, a miss raises
+    CacheMiss in REPLAY and sends the request in RECORD, which caches the
+    reply, and an unreadable entry is a TransportError naming its path.
+    Each attempt opens one connection and closes it. Transient failures
+    (connection errors, 429/5xx) are retried with exponential backoff up
+    to the transport's attempt limit; redirects are not followed.
     """
     digest = request_digest(model.name, messages, sampling)
-    entry = None if transport.mode is TransportMode.LIVE else transport.read_cached(digest)
+    entry = transport.read_cached(digest)
     if entry is not None:
         return _content_of(entry["response"], lambda: transport.cache_path(digest))
     if transport.mode is TransportMode.REPLAY:
@@ -413,11 +413,10 @@ def complete(
             continue
         try:
             response_body = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TransportError(f"{model.endpoint}: HTTP 200 reply is not JSON ({exc})") from None
         content = _content_of(response_body, lambda: model.endpoint)
-        if transport.mode is TransportMode.RECORD:
-            transport.write_cached(digest, request_body, response_body)
+        transport.write_cached(digest, request_body, response_body)
         return content
     raise TransportError(
         f"{model.endpoint}: request failed after {transport.max_attempts} attempts: {last_error}"
@@ -450,7 +449,7 @@ def extract_json_island(text: str) -> dict[str, str]:
     while index != -1:
         try:
             obj, _ = decoder.raw_decode(text, index)
-        except ValueError:
+        except (ValueError, RecursionError):
             obj = None
         if isinstance(obj, dict):
             return {str(key).casefold(): _stringify(value) for key, value in obj.items()}
@@ -540,14 +539,13 @@ def extract_documents(
     gazetteer: Gazetteer | None = None,
     concurrency: int = 4,
 ) -> list[ExtractionRecord]:
-    """Extract a batch, preserving doc order.
+    """Extract a batch through ``extract_each``: in document order, stopping
+    at the first failing document with the records before it.
 
-    Replay, and any mode at ``concurrency`` 1, runs ``extract_each`` in the
-    calling thread: nothing waits on the network, so a pool would only add
-    hand-offs. Record and live mode keep up to ``concurrency`` requests in
-    flight. On any failure the batch stops and raises ExtractionFailed
-    carrying the cause and every record completed so far, so callers can
-    persist progress.
+    Replay, and record at ``concurrency`` 1, run in the calling thread:
+    nothing waits on the network, so a pool would only add hand-offs.
+    Otherwise up to ``concurrency`` requests are in flight; a failure
+    cancels those not yet sent, and every reply received is cached.
     """
     if concurrency < 1:
         raise ConfigError("concurrency must be >= 1")
@@ -559,26 +557,12 @@ def extract_documents(
         return extract_each(docs, one)
 
     # Imported here so that runs without overlapping requests never pay for loading it.
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    results: dict[str, ExtractionRecord] = {}
-    failure: tuple[str, Exception] | None = None
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = {pool.submit(one, doc): doc for doc in docs}
-        _, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in pending:
-            future.cancel()
-        for future, doc in futures.items():
-            if future.cancelled():
-                continue
-            exc = future.exception()
-            if exc is None:
-                results[doc.id] = future.result()
-            elif failure is None:
-                failure = (doc.id, exc)
-
-    ordered = [results[doc.id] for doc in docs if doc.id in results]
-    if failure is not None:
-        doc_id, exc = failure
-        raise ExtractionFailed(doc_id, exc, partial_records=ordered) from exc
-    return ordered
+        # extract_each asks for the documents in order, so it reads the futures in order.
+        answers = iter([pool.submit(one, doc) for doc in docs])
+        try:
+            return extract_each(docs, lambda doc: next(answers).result())
+        finally:
+            pool.shutdown(cancel_futures=True)

@@ -69,7 +69,7 @@ def read_state(path: Path) -> Optional[Sidecar]:
         *lines, tail = body.split(b"\n")
         # One parse for every row, then one pass over their shapes.
         rows = json.loads(b"[" + b",".join(lines) + b"]")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: unreadable resume state ({exc})") from None
     if not (
         newline and type(header) is dict and list(header) == ["fingerprint"]

@@ -27,7 +27,8 @@ def gazetteer():
 
 
 class _StubHandler(http.server.BaseHTTPRequestHandler):
-    """Answers each POST with the next of ``responses``, repeating the last.
+    """Answers each POST with the next of ``responses``, repeating the last,
+    or, when ``respond`` is set, with what it returns for the request body.
 
     A response is ``(status, body)``: a dict is sent as JSON, bytes as they
     are, and a status of None hangs up without answering. Every request is
@@ -35,13 +36,17 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
     """
 
     responses = []
+    respond = None
     seen = []
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        seen = type(self).seen
+        seen, respond = type(self).seen, type(self).respond
         seen.append((self.path, self.headers, self.rfile.read(length)))
-        status, body = self.responses[min(len(seen) - 1, len(self.responses) - 1)]
+        if respond is not None:
+            status, body = respond(seen[-1][2])
+        else:
+            status, body = self.responses[min(len(seen) - 1, len(self.responses) - 1)]
         if status is None:
             return
         self.send_response(status)

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 from collections import Counter
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,15 @@ from epix.errors import (
 )
 from epix.evaluation import MatchMode
 from epix.gazetteer import bundled_digest
-from epix.llm import Sampling, Transport, TransportMode, build_messages, default_registry, load_template
+from epix.llm import (
+    Sampling,
+    Transport,
+    TransportMode,
+    build_messages,
+    default_registry,
+    load_template,
+    request_digest,
+)
 
 
 def _write_config(tmp_path, extractors, transport=None, **extra):
@@ -208,6 +217,39 @@ def test_extract_rule_based_needs_no_transport(tmp_path):
     assert len((tmp_path / "out" / "predictions" / "rule.jsonl").read_text().splitlines()) == 3
 
 
+def test_live_mode_flag_exits_2_listing_record_and_replay(tmp_path, capsys):
+    _small_corpus(tmp_path)
+    config = _write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--config", str(config), "--mode", "live", "extract"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"invalid choice: 'live' \(choose from '?record'?, '?replay'?\)", err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "transport", [{"mode": "record"}, {"mode": "replay", "cache_dir": None}, {"cache_dir": ""}, None],
+    ids=["record", "null", "empty", "no-transport"],
+)
+def test_model_extractor_without_a_cache_dir_exits_2_before_any_work(tmp_path, capsys, transport):
+    _small_corpus(tmp_path)
+    extractors = [
+        {"id": "rule", "kind": "rule_based"}, {"id": "m", "kind": "llm", "model": "gpt-4-32k"}
+    ]
+    config = _write_config(tmp_path, extractors, transport={"mode": "replay"})
+    data = json.loads(config.read_text())
+    if transport is None:
+        del data["transport"]
+    else:
+        data["transport"] = transport
+    config.write_text(json.dumps(data))
+    assert main(["--config", str(config), "extract"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: transport.cache_dir is required by model extractors" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _seed_cache(tmp_path, docs, answer, model="gpt-4-32k", template="zero-shot", sampling=Sampling()):
     """Replay entries for ``model`` prompted with ``template`` answering ``answer`` to each document."""
     profile = default_registry()[model]
@@ -290,6 +332,112 @@ def test_invalid_utf8_line_exits_2_naming_the_file_and_line(tmp_path, capsys, na
         assert main(["--config", str(config), command]) == 2, command
         err = capsys.readouterr().err
         assert str(path) in err and "line 2" in err and "UTF-8" in err, command
+
+
+_DEEP = "[" * 5000 + "]" * 5000  # nested past the JSON decoder's recursion limit
+
+
+def _deep_config(tmp_path, handler, endpoint):
+    path = tmp_path / "config.json"
+    path.write_text('{"corpus": ' + _DEEP + "}", encoding="utf-8")
+    return ["--config", str(path), "extract"], 2, f"{path}: "
+
+
+def _deep_line(name, key, command):
+    """A fourth line of ``name``, whose ``key`` is nested too deeply, read by ``command``."""
+
+    def make(tmp_path, handler, endpoint):
+        config = _extract_and_evaluate(tmp_path)
+        with open(tmp_path / name, "a", encoding="utf-8") as fh:
+            fh.write(f'{{"{key}": {_DEEP}}}\n')
+        return ["--config", str(config), command], 2, f"{tmp_path / name}: line 4: "
+
+    return make
+
+
+def _deep_sidecar(tmp_path, handler, endpoint):
+    config = _extract_and_evaluate(tmp_path)
+    sidecar = tmp_path / "out" / "state" / "rule.json"
+    sidecar.write_text(_DEEP + "\n", encoding="utf-8")
+    return ["--config", str(config), "extract"], 2, f"{sidecar}: unreadable resume state"
+
+
+def _deep_vouched_prediction(tmp_path, handler, endpoint):
+    """A first predictions line nested too deeply, whose sidecar row vouches for it."""
+    config = _extract_and_evaluate(tmp_path)
+    predictions = _predictions_file(tmp_path, "rule")
+    sidecar = tmp_path / "out" / "state" / "rule.json"
+    line = ('{"document_id": "d0", "extractor_id": ' + _DEEP + "}\n").encode()
+    predictions.write_bytes(line + b"".join(predictions.read_bytes().splitlines(keepends=True)[1:]))
+    header, first, *rows = sidecar.read_bytes().splitlines(keepends=True)
+    doc_id, inputs, _ = json.loads(first)
+    row = json.dumps([doc_id, inputs, hashlib.sha256(line).hexdigest()], separators=(",", ":"))
+    sidecar.write_bytes(header + row.encode() + b"\n" + b"".join(rows))
+    return ["--config", str(config), "evaluate"], 2, f"{predictions}: line 1: "
+
+
+def _deep_cache(answer, entry=None):
+    """A replay extract whose first cache entry answers ``answer``, or is ``entry``."""
+
+    def make(tmp_path, handler, endpoint):
+        digests, transport = _seed_cache(tmp_path, _small_corpus(tmp_path), answer)
+        path = transport.cache_path(digests[0])
+        if entry is not None:
+            path.write_text(entry, encoding="utf-8")
+        config = _write_config(tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}])
+        rc, said = (0, "") if entry is None else (3, f"{path}: corrupt cache entry")
+        return ["--config", str(config), "extract"], rc, said
+
+    return make
+
+
+def _deep_reply(tmp_path, handler, endpoint):
+    handler.responses = [(200, _DEEP.encode())]
+    config = _write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k"}],
+        transport={"mode": "record", "cache_dir": str(tmp_path / "cache"), "backoff_base": 0},
+    )
+    _small_corpus(tmp_path)
+    return ["--config", str(config), "extract"], 3, f"{endpoint}: HTTP 200 reply is not JSON"
+
+
+def _deep_report(tmp_path, handler, endpoint):
+    path = tmp_path / "report.json"
+    path.write_text(_DEEP, encoding="utf-8")
+    return ["report", str(path)], 2, f"{path}: not a readable report"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _deep_config,
+        _deep_line("corpus.jsonl", "id", "extract"),
+        _deep_line("gold.jsonl", "document_id", "evaluate"),
+        _deep_sidecar,
+        _deep_vouched_prediction,
+        _deep_cache("overwritten", entry=_DEEP),
+        _deep_cache('{"virus": ' + _DEEP + "}"),
+        _deep_reply,
+        _deep_report,
+    ],
+    ids=[
+        "config", "corpus", "gold", "sidecar", "vouched-prediction", "cache-entry", "model-answer",
+        "reply", "report",
+    ],
+)
+def test_json_nested_too_deeply_is_malformed_input_not_a_crash(
+    tmp_path, monkeypatch, capsys, stub_server, make
+):
+    handler, endpoint = stub_server
+    monkeypatch.setenv("EPIX_API_KEY", "k")
+    monkeypatch.setenv("EPIX_ENDPOINT", endpoint)
+    argv, rc, said = make(tmp_path, handler, endpoint)
+    capsys.readouterr()
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and said in err if rc else err == ""
+    if rc == 0:  # an answer with no parseable object is a parse failure
+        assert [r["flags"]["parse_failure"] for r in _predictions(tmp_path, "m")] == [True] * 3
 
 
 def _edit_line(index, before, after):
@@ -1591,6 +1739,47 @@ def test_record_extract_at_concurrency_2_runs_through_the_pool(
     assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1", "d2"]
 
 
+def test_record_pool_stops_at_the_first_failing_document_and_caches_later_replies(
+    tmp_path, monkeypatch, capsys, stub_server
+):
+    handler, endpoint = stub_server
+    config = _record_config(tmp_path, monkeypatch, endpoint, concurrency=2)
+    docs = _small_corpus(tmp_path, n=4)
+    by_body = {doc.body: doc.id for doc in docs}
+    profile, template = default_registry()["gpt-4-32k"], load_template("zero-shot")
+    paths = {
+        doc.id: tmp_path / "cache" / "{}.json".format(request_digest(
+            profile.name, build_messages(doc, template, profile).messages, Sampling()
+        ))
+        for doc in docs
+    }
+    failing, last_asked = {"d1"}, threading.Event()
+
+    def respond(request):
+        doc_id = by_body[json.loads(request)["messages"][-1]["content"]]
+        if doc_id == "d3":
+            last_asked.set()
+        if doc_id in failing:
+            # Held back until the last document is asked, so that d2's answer comes first.
+            last_asked.wait(10)
+            return 400, {"error": "bad request"}
+        return 200, _answer(_FRANCE)
+
+    handler.respond = respond
+    assert main(["--config", str(config), "extract"]) == 3
+    assert "'d1'" in capsys.readouterr().err
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0"]
+    cached = {doc_id for doc_id, path in paths.items() if path.exists()}
+    assert {"d0", "d2"} <= cached and "d1" not in cached
+
+    failing.clear()
+    handler.seen.clear()
+    assert main(["--config", str(config), "extract"]) == 0
+    asked = [by_body[json.loads(body)["messages"][-1]["content"]] for _, _, body in handler.seen]
+    assert sorted(asked) == sorted(set(paths) - cached)
+    assert [r["document_id"] for r in _predictions(tmp_path, "m")] == ["d0", "d1", "d2", "d3"]
+
+
 @pytest.mark.parametrize("missing", [0, 1, 3])
 def test_record_redo_after_lost_state_sends_one_request_per_missing_cache_entry(
     tmp_path, monkeypatch, capsys, stub_server, missing
@@ -2093,8 +2282,9 @@ def test_config_section_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsy
     [
         (lambda c: {**c, "match_mode": 5}, "match_mode", "strict_value, detection_only"),
         (lambda c: {**c, "match_mode": "fuzzy"}, "match_mode", "strict_value, detection_only"),
-        (lambda c: {**c, "transport": {"mode": None}}, "transport.mode", "live, record, replay"),
-        (lambda c: {**c, "transport": {"mode": "psy"}}, "transport.mode", "live, record, replay"),
+        (lambda c: {**c, "transport": {"mode": None}}, "transport.mode", "record, replay"),
+        (lambda c: {**c, "transport": {"mode": "psy"}}, "transport.mode", "record, replay"),
+        (lambda c: {**c, "transport": {"mode": "live"}}, "transport.mode", "record, replay"),
         (
             lambda c: {**c, "extractors": _ensemble_policy({"tie_break": "coin"})},
             "extractors[2].policy.tie_break",
@@ -2108,7 +2298,7 @@ def test_config_section_of_the_wrong_type_exits_2_naming_its_key(tmp_path, capsy
     ],
     ids=[
         "match-mode-number", "match-mode-unknown", "transport-mode-null", "transport-mode-unknown",
-        "tie-break-unknown", "tie-break-list",
+        "transport-mode-live", "tie-break-unknown", "tie-break-list",
     ],
 )
 def test_config_choice_that_is_not_allowed_exits_2_naming_its_key_and_the_choices(
@@ -2126,12 +2316,12 @@ def test_config_choices_load_in_any_case(tmp_path):
     path = _write_config(
         tmp_path,
         _ensemble_policy({"tie_break": "Abstain"}),
-        transport={"mode": "LIVE"},
+        transport={"mode": "RECORD", "cache_dir": str(tmp_path / "cache")},
         match_mode="Detection_Only",
     )
     config = load_run_config(path)
     assert config.match_mode is MatchMode.DETECTION_ONLY
-    assert config.transport_mode is TransportMode.LIVE
+    assert config.transport_mode is TransportMode.RECORD
     assert config.extractors[2].ensemble.policy.tie_break is TieBreak.ABSTAIN
 
 
@@ -2142,7 +2332,7 @@ _TOP_KEYS = "corpus, gold, output_dir, match_mode, concurrency, transport, sampl
     "edit, key, where, allowed",
     [
         (lambda c: {**c, "concurency": 0}, "concurency", "the top level", _TOP_KEYS),
-        (lambda c: {**c, "transprot": {"mode": "live"}}, "transprot", "the top level", _TOP_KEYS),
+        (lambda c: {**c, "transprot": {"mode": "record"}}, "transprot", "the top level", _TOP_KEYS),
         (
             lambda c: {**c, "transport": {**c["transport"], "max_attempt": 9}},
             "transport.max_attempt", "transport", "mode, cache_dir, max_attempts, backoff_base",
@@ -2214,15 +2404,15 @@ def test_entry_without_a_kind_exits_2_saying_that_kind_is_required(tmp_path, cap
 _README = Path(__file__).parents[1] / "README.md"
 
 
-def _schema_paths(rows, prefix=""):
-    """Every key path of the config schema ``rows``; ``[i]`` stands for an entry's index."""
+def _schema_keys(rows, prefix=""):
+    """Every key of the config schema ``rows`` by its path; ``[i]`` stands for an entry's index."""
     for name, key in rows.items():
-        yield prefix + name
+        yield prefix + name, key
         if isinstance(key.kind, list):
             for entry in cli._ENTRIES.values():
-                yield from _schema_paths(entry, f"{prefix}{name}[i].")
+                yield from _schema_keys(entry, f"{prefix}{name}[i].")
         elif isinstance(key.kind, dict):
-            yield from _schema_paths(key.kind, f"{prefix}{name}.")
+            yield from _schema_keys(key.kind, f"{prefix}{name}.")
 
 
 def test_readme_config_reference_lists_exactly_the_schema_keys():
@@ -2230,7 +2420,25 @@ def test_readme_config_reference_lists_exactly_the_schema_keys():
     section = text.split("\n### Config reference\n", 1)[1].split("\n### ", 1)[0]
     listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
     assert len(listed) == len(set(listed))
-    assert set(listed) == set(_schema_paths(cli._CONFIG))
+    assert set(listed) == {path for path, _ in _schema_keys(cli._CONFIG)}
+
+
+def test_readme_config_reference_lists_the_schema_choices_and_mode_flag_takes_them():
+    text = _README.read_text(encoding="utf-8")
+    section = text.split("\n### Config reference\n", 1)[1].split("\n### ", 1)[0]
+    cells = re.findall(r"^\| `([^`]+)` \| choice \| [^|]+ \| ([^|]+) \|$", section, flags=re.MULTILINE)
+    listed = {path: re.findall(r"`([^`]+)`", cell) for path, cell in cells}
+    choices = {
+        path: list(key.kind) if isinstance(key.kind, tuple) else [c.value.lower() for c in key.kind]
+        for path, key in _schema_keys(cli._CONFIG)
+        if isinstance(key.kind, tuple) or (isinstance(key.kind, type) and issubclass(key.kind, Enum))
+    }
+    assert sorted(choices) == [
+        "extractors[i].kind", "extractors[i].policy.tie_break", "match_mode", "transport.mode"
+    ]
+    assert listed == choices
+    [mode] = [action for action in cli._build_parser()._actions if action.dest == "mode"]
+    assert mode.choices == choices["transport.mode"] == ["record", "replay"]
 
 
 def test_readme_module_table_is_the_source_table():

@@ -150,6 +150,19 @@ def test_corpus_malformed_line_reports_line_number(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "bad, error", [(b'{"document_id": "d\xff"}', "invalid UTF-8"), (b"{oops", "invalid JSON")],
+    ids=["utf-8", "json"],
+)
+def test_bad_line_is_named_by_the_line_the_reader_splits(tmp_path, newline, bad, error):
+    path = tmp_path / "gold.jsonl"
+    good = b'{"document_id": "d%d", "disease": null, "country": null, "date": null, "count": null}'
+    path.write_bytes(newline.join([good % 1, good % 2, bad, good % 4]) + newline)
+    with pytest.raises(SchemaError, match=f"line 3: {error}"):
+        load_gold(path)
+
+
 @pytest.mark.parametrize(
     "warnings", ["abc", [1, None], ["malformed-markup", 7], {"a": 1}, None],
     ids=["string", "numbers", "one-number", "object", "null"],

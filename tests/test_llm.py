@@ -314,9 +314,9 @@ def test_replay_requires_cache_dir():
         Transport(mode=TransportMode.REPLAY, cache_dir=None)
 
 
-def test_live_requires_credential(tmp_path, monkeypatch):
+def test_record_miss_requires_credential(tmp_path, monkeypatch):
     monkeypatch.delenv("EPIX_API_KEY", raising=False)
-    transport = Transport(mode=TransportMode.LIVE)
+    transport = Transport(mode=TransportMode.RECORD, cache_dir=tmp_path)
     profile = default_registry()["llama-2-70b-chat"]
     with pytest.raises(AuthError):
         complete(transport, profile, [{"role": "user", "content": "q"}])
@@ -326,32 +326,38 @@ def _ok_body(text):
     return {"choices": [{"message": {"role": "assistant", "content": text}}]}
 
 
-def test_retries_two_503s_then_success(stub_server, monkeypatch):
+def test_retries_two_503s_then_success(stub_server, monkeypatch, tmp_path):
     handler, endpoint = stub_server
     handler.responses = [(503, {}), (503, {}), (200, _ok_body("finally"))]
     monkeypatch.setenv("EPIX_API_KEY", "k")
-    transport = Transport(mode=TransportMode.LIVE, max_attempts=3, backoff_base=0.0)
+    transport = Transport(
+        mode=TransportMode.RECORD, cache_dir=tmp_path, max_attempts=3, backoff_base=0.0
+    )
     profile = ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
     assert complete(transport, profile, [{"role": "user", "content": "q"}]) == "finally"
     assert len(handler.seen) == 3
 
 
-def test_retries_exhausted(stub_server, monkeypatch):
+def test_retries_exhausted(stub_server, monkeypatch, tmp_path):
     handler, endpoint = stub_server
     handler.responses = [(503, {})]
     monkeypatch.setenv("EPIX_API_KEY", "k")
-    transport = Transport(mode=TransportMode.LIVE, max_attempts=2, backoff_base=0.0)
+    transport = Transport(
+        mode=TransportMode.RECORD, cache_dir=tmp_path, max_attempts=2, backoff_base=0.0
+    )
     profile = ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
     with pytest.raises(TransportError):
         complete(transport, profile, [{"role": "user", "content": "q"}])
     assert len(handler.seen) == 2
 
 
-def test_auth_rejection_is_not_retried(stub_server, monkeypatch):
+def test_auth_rejection_is_not_retried(stub_server, monkeypatch, tmp_path):
     handler, endpoint = stub_server
     handler.responses = [(401, {})]
     monkeypatch.setenv("EPIX_API_KEY", "bad")
-    transport = Transport(mode=TransportMode.LIVE, max_attempts=3, backoff_base=0.0)
+    transport = Transport(
+        mode=TransportMode.RECORD, cache_dir=tmp_path, max_attempts=3, backoff_base=0.0
+    )
     profile = ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
     with pytest.raises(AuthError):
         complete(transport, profile, [{"role": "user", "content": "q"}])
@@ -387,12 +393,14 @@ def test_cache_entry_in_another_unicode_encoding_is_corrupt(tmp_path, encoding):
     assert str(path) in str(excinfo.value)
 
 
-def _live(endpoint, max_attempts=3):
-    transport = Transport(mode=TransportMode.LIVE, max_attempts=max_attempts, backoff_base=0.0)
+def _record(endpoint, cache_dir, max_attempts=3):
+    transport = Transport(
+        mode=TransportMode.RECORD, cache_dir=cache_dir, max_attempts=max_attempts, backoff_base=0.0
+    )
     return transport, ModelProfile("m", 4096, None, endpoint, ModelKind.OPEN)
 
 
-def test_refused_connection_is_tried_max_attempts_times(monkeypatch):
+def test_refused_connection_is_tried_max_attempts_times(monkeypatch, tmp_path):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -405,26 +413,26 @@ def test_refused_connection_is_tried_max_attempts_times(monkeypatch):
 
     monkeypatch.setattr(http.client.HTTPConnection, "connect", counted)
     monkeypatch.setenv("EPIX_API_KEY", "k")
-    transport, profile = _live(f"http://127.0.0.1:{port}/v1/chat/completions")
+    transport, profile = _record(f"http://127.0.0.1:{port}/v1/chat/completions", tmp_path)
     with pytest.raises(TransportError, match="after 3 attempts"):
         complete(transport, profile, [{"role": "user", "content": "q"}])
     assert connects == [port] * 3
 
 
-def test_server_closing_without_an_answer_is_retried(stub_server, monkeypatch):
+def test_server_closing_without_an_answer_is_retried(stub_server, monkeypatch, tmp_path):
     handler, endpoint = stub_server
     handler.responses = [(None, None), (200, _ok_body("second"))]
     monkeypatch.setenv("EPIX_API_KEY", "k")
-    transport, profile = _live(endpoint)
+    transport, profile = _record(endpoint, tmp_path)
     assert complete(transport, profile, [{"role": "user", "content": "q"}]) == "second"
     assert len(handler.seen) == 2
 
 
-def test_request_carries_token_content_type_path_and_query(stub_server, monkeypatch):
+def test_request_carries_token_content_type_path_and_query(stub_server, monkeypatch, tmp_path):
     handler, endpoint = stub_server
     handler.responses = [(200, _ok_body("ok"))]
     monkeypatch.setenv("EPIX_API_KEY", "secret-key")
-    transport, profile = _live(endpoint + "?api-version=2024-02-01")
+    transport, profile = _record(endpoint + "?api-version=2024-02-01", tmp_path)
     messages = [{"role": "user", "content": "q"}]
     assert complete(transport, profile, messages, Sampling(max_tokens=7)) == "ok"
     [(path, headers, body)] = handler.seen
@@ -436,21 +444,21 @@ def test_request_carries_token_content_type_path_and_query(stub_server, monkeypa
     }
 
 
-def test_redirect_is_not_followed(stub_server, monkeypatch):
+def test_redirect_is_not_followed(stub_server, monkeypatch, tmp_path):
     handler, endpoint = stub_server
     handler.responses = [(302, {})]
     monkeypatch.setenv("EPIX_API_KEY", "k")
-    transport, profile = _live(endpoint)
+    transport, profile = _record(endpoint, tmp_path)
     with pytest.raises(TransportError, match="HTTP 302"):
         complete(transport, profile, [{"role": "user", "content": "q"}])
     assert [path for path, _, _ in handler.seen] == ["/v1/chat/completions"]
 
 
-def test_reply_that_is_not_json_is_not_retried(stub_server, monkeypatch):
+def test_reply_that_is_not_json_is_not_retried(stub_server, monkeypatch, tmp_path):
     handler, endpoint = stub_server
     handler.responses = [(200, b"<html>busy</html>")]
     monkeypatch.setenv("EPIX_API_KEY", "k")
-    transport, profile = _live(endpoint)
+    transport, profile = _record(endpoint, tmp_path)
     with pytest.raises(TransportError) as excinfo:
         complete(transport, profile, [{"role": "user", "content": "q"}])
     assert endpoint in str(excinfo.value) and "HTTP 200" in str(excinfo.value)
@@ -489,27 +497,29 @@ def fake_https(monkeypatch):
     return Fake
 
 
-def test_https_endpoint_opens_a_verified_tls_connection(fake_https):
-    transport, profile = _live("https://localhost/v1/chat/completions")
+def test_https_endpoint_opens_a_verified_tls_connection(fake_https, tmp_path):
+    transport, profile = _record("https://localhost/v1/chat/completions", tmp_path)
     assert complete(transport, profile, [{"role": "user", "content": "q"}]) == "over tls"
     (host, port, context), request = fake_https.opened
     assert (host, port, request) == ("localhost", 443, ("POST", "/v1/chat/completions"))
     assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
 
 
-def test_failed_certificate_check_is_retried(fake_https):
+def test_failed_certificate_check_is_retried(fake_https, tmp_path):
     fake_https.fail = ssl.SSLCertVerificationError("certificate verify failed")
-    transport, profile = _live("https://localhost/v1/chat/completions", max_attempts=2)
+    transport, profile = _record("https://localhost/v1/chat/completions", tmp_path, max_attempts=2)
     with pytest.raises(TransportError, match="certificate verify failed"):
         complete(transport, profile, [{"role": "user", "content": "q"}])
     assert len(fake_https.opened) == 2
 
 
-def test_key_that_a_header_cannot_carry_is_refused_without_showing_it(stub_server, monkeypatch):
+def test_key_that_a_header_cannot_carry_is_refused_without_showing_it(
+    stub_server, monkeypatch, tmp_path
+):
     handler, endpoint = stub_server
     monkeypatch.setenv("EPIX_API_KEY", "secret\nkey")
     monkeypatch.setattr("time.sleep", None)
-    transport, profile = _live(endpoint)
+    transport, profile = _record(endpoint, tmp_path)
     with pytest.raises(ConfigError, match="EPIX_API_KEY") as excinfo:
         complete(transport, profile, [{"role": "user", "content": "q"}])
     assert "secret" not in str(excinfo.value)
@@ -533,7 +543,7 @@ def test_endpoint_that_is_not_an_http_url_is_refused_before_any_request(
     monkeypatch.setenv("EPIX_API_KEY", "k")
     monkeypatch.setattr(http.client, "HTTPConnection", None)
     monkeypatch.setattr("time.sleep", None)
-    transport, profile = _live(endpoint)
+    transport, profile = _record(endpoint, tmp_path)
     messages = [{"role": "user", "content": "q"}]
     with pytest.raises(ConfigError, match="EPIX_ENDPOINT") as excinfo:
         complete(transport, profile, messages)
