@@ -22,6 +22,7 @@ from . import annotator, llm, state
 from .corpus import (
     Document,
     ExtractionRecord,
+    decode_line,
     json_line,
     load_corpus,
     load_gold,
@@ -49,7 +50,7 @@ from .evaluation import (
     record_keys,
     render_report,
 )
-from .gazetteer import bundled_digest, default_gazetteer
+from .gazetteer import default_gazetteer
 from .llm import Sampling, Transport, TransportMode, default_registry, load_template
 
 EXIT_OK = 0
@@ -79,10 +80,8 @@ class RunConfig:
     output_dir: Path
     extractors: list[ExtractorSpec]
     match_mode: MatchMode
-    transport_mode: TransportMode
-    cache_dir: Optional[Path]
-    max_attempts: int
-    backoff_base: float
+    # The ``transport`` section as it is; None without a ``cache_dir``.
+    transport: Optional[Transport]
     concurrency: int
     sampling: Sampling
     # Each extractor's fingerprint (see ``_fingerprints``); members come before their ensembles.
@@ -94,9 +93,6 @@ class RunConfig:
     def state_path(self, extractor_id: str) -> Path:
         """The sidecar that proves which of an extractor's records are current."""
         return self.output_dir / "state" / f"{extractor_id}.json"
-
-    def transport(self) -> Transport:
-        return Transport(self.transport_mode, self.cache_dir, self.max_attempts, self.backoff_base)
 
 
 @dataclass(frozen=True)
@@ -244,36 +240,36 @@ def _parse_run_config(data) -> RunConfig:
             raise ConfigError(f"extractors[{i}]: {exc}") from None
         extractors.append(spec)
 
-    transport = config["transport"]
-    if not transport["cache_dir"] and any(spec.kind == LLM for spec in extractors):
+    transport = Transport(**config["transport"]) if config["transport"]["cache_dir"] else None
+    if transport is None and any(spec.kind == LLM for spec in extractors):
         raise ConfigError("transport.cache_dir is required by model extractors")
     sampling = Sampling(**config["sampling"])
     return RunConfig(
         corpus=Path(config["corpus"]), gold=Path(config["gold"]) if config["gold"] else None,
         output_dir=Path(config["output_dir"]), extractors=extractors,
-        match_mode=config["match_mode"], concurrency=config["concurrency"],
-        transport_mode=transport["mode"],
-        cache_dir=Path(transport["cache_dir"]) if transport["cache_dir"] else None,
-        max_attempts=transport["max_attempts"], backoff_base=transport["backoff_base"],
+        match_mode=config["match_mode"], transport=transport, concurrency=config["concurrency"],
         sampling=sampling, fingerprints=_fingerprints(extractors, sampling),
     )
 
 
-# The modules whose code decides a corpus line, a rule-based record, a model record and a vote.
+# The files, code and bundled data alike, whose bytes decide a corpus line, a
+# rule-based record, a model record and a vote; paths are from the package directory.
+_TABLES = ("data/diseases.tsv", "data/countries.tsv")
+_PROMPTS = ("data/prompts/instruction_v1.txt", "data/prompts/demonstrations_v1.json")
 _SOURCES = {
     "ingest": ("corpus.py", "normalize.py", "cli.py"),
-    RULE_BASED: ("annotator.py", "normalize.py", "gazetteer.py"),
-    LLM: ("llm.py", "normalize.py", "gazetteer.py"),
+    RULE_BASED: ("annotator.py", "normalize.py", "gazetteer.py", *_TABLES),
+    LLM: ("llm.py", "normalize.py", "gazetteer.py", *_TABLES, *_PROMPTS),
     ENSEMBLE: ("ensemble.py", "normalize.py"),
 }
 
 
 @lru_cache(maxsize=None)
 def source_digest(kind: str) -> str:
-    """sha256 over the source of the ``_SOURCES[kind]`` modules, file by file, once per process."""
+    """sha256 over the ``_SOURCES[kind]`` files, file by file, once per process."""
     digest = hashlib.sha256()
     for name in _SOURCES[kind]:
-        source = Path(annotator.__file__).with_name(name).read_bytes()
+        source = (Path(annotator.__file__).parent / name).read_bytes()
         digest.update(hashlib.sha256(source).digest())
     return digest.hexdigest()
 
@@ -281,19 +277,18 @@ def source_digest(kind: str) -> str:
 def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> dict[str, str]:
     """Each extractor's sha256 over canonical JSON of everything that decides its records.
 
-    Each covers the source of its kind's modules (``_SOURCES``). A
-    rule-based or model extractor's also covers the bundled gazetteer
-    tables; a model extractor's also its model profile, template and the
-    sampling; an ensemble's its members' ids and its policy (its input
-    digests cover its members' records, so their fingerprints would add
-    nothing). Where answers come from is left out: the transport mode and
-    the endpoint, which the request digest keying the cache omits too.
-    Members come before their ensembles in the result; an ensemble that
-    is, through its members, its own member is a ConfigError.
+    Each covers its kind and the files of its kind's row (``_SOURCES``),
+    plus its config values: a model extractor's model and template names
+    and the sampling, whose profiles and presets its row's files define;
+    an ensemble's members' ids and its policy (its input digests cover its
+    members' records, so their fingerprints would add nothing). Where
+    answers come from is left out: the transport section and the endpoint,
+    which the request digest keying the cache omits too. Members come
+    before their ensembles in the result; an ensemble that is, through its
+    members, its own member is a ConfigError.
     """
     specs = {spec.id: spec for spec in extractors}
     done: dict[str, str] = {}
-    gazetteer = bundled_digest()
 
     def visit(spec: ExtractorSpec, within: tuple[str, ...]) -> str:
         if spec.id in done:
@@ -301,12 +296,9 @@ def _fingerprints(extractors: Sequence[ExtractorSpec], sampling: Sampling) -> di
         if spec.id in within:
             raise ConfigError(f"ensemble {spec.id!r} is a member of itself via {list(within)}")
         source: dict = {"kind": spec.kind, "code": source_digest(spec.kind)}
-        if spec.kind != ENSEMBLE:
-            source["gazetteer"] = gazetteer
         if spec.profile is not None:
-            source["model"] = {k: v for k, v in vars(spec.profile).items() if k != "endpoint"}
-            # The scaffold is derived from the template's other fields.
-            source["template"] = {k: v for k, v in vars(spec.template).items() if k != "scaffold"}
+            source["model"] = spec.profile.name
+            source["template"] = spec.template.name
             source["sampling"] = sampling
         if spec.ensemble is not None:
             inner = (*within, spec.id)
@@ -412,7 +404,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     ``state.Stored.save`` commits the new records, appended or rewritten in
     corpus order. Any per-document failure first commits the records of
     the documents before it. A config without model extractors needs no
-    cache, and builds no transport without one. An ensemble votes from its
+    cache, and has no transport without one. An ensemble votes from its
     members' records of this run, and decodes a member's stored line only
     for documents those lack.
     """
@@ -420,7 +412,6 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
     reuse = state.Reuse(config, docs)
     order = [doc.id for doc in docs]
     gazetteer = default_gazetteer()
-    transport = config.transport() if config.cache_dir else None
 
     # Members run before their ensembles, so that their records of this run exist.
     rank = {extractor_id: i for i, extractor_id in enumerate(config.fingerprints)}
@@ -439,7 +430,7 @@ def cmd_extract(config: RunConfig, only: Sequence[str] | None = None) -> int:
                 )
             elif spec.kind == LLM:
                 new = llm.extract_documents(
-                    missing, spec.profile, spec.template, transport,
+                    missing, spec.profile, spec.template, config.transport,
                     sampling=config.sampling, extractor_id=spec.id,
                     gazetteer=gazetteer, concurrency=config.concurrency,
                 )
@@ -474,12 +465,22 @@ def _voter(spec: ExtractorSpec, reuse: state.Reuse):
                 f"for document {doc.id!r}; extract members first"
             )
         records = [
-            found.records.get(doc.id) or ExtractionRecord.from_json(json.loads(found.lines[doc.id]))
-            for found in members.values()
+            found.records.get(doc.id) or _stored_record(found, doc.id) for found in members.values()
         ]
         return ensemble_records(records, spec.ensemble)
 
     return vote
+
+
+def _stored_record(found: state.Stored, doc_id: str) -> ExtractionRecord:
+    """The record on the vouched line of ``doc_id``; a fault names the file and the line."""
+    line = found.lines[doc_id]
+    try:
+        return decode_line(line, ExtractionRecord.from_json)
+    except SchemaError as exc:
+        # Only a fault looks the line up: a rewrite of the file this run keeps its bytes.
+        lineno = found.path.read_bytes().splitlines(keepends=True).index(line) + 1
+        raise SchemaError(str(exc), found.path, lineno) from None
 
 
 def _corpus_digest(path: Path) -> str:
@@ -600,7 +601,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("--config is required for this command")
         config = load_run_config(args.config)
         config.output_dir = args.output or config.output_dir
-        config.transport_mode = TransportMode((args.mode or config.transport_mode).upper())
+        if args.mode and config.transport is not None:
+            config.transport.mode = TransportMode(args.mode.upper())
         if args.command == "extract":
             ids = {spec.id for spec in config.extractors}
             unknown = [extractor_id for extractor_id in args.only or () if extractor_id not in ids]

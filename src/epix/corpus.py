@@ -368,6 +368,20 @@ def with_id(doc: Document, doc_id: str) -> Document:
 # --- persistence -----------------------------------------------------------
 
 
+def decode_line(line: str | bytes, decode: Callable[[Mapping], object], path=None, lineno=None):
+    """``decode`` of one JSON-lines line's object; a line that is not a JSON object,
+    or that ``decode`` rejects, is a SchemaError naming ``path`` and ``lineno``."""
+    try:
+        obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise SchemaError("not a JSON object")
+        return decode(obj)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON ({exc.msg})", path, lineno) from None
+    except (SchemaError, AttributeError, LookupError, TypeError, ValueError, RecursionError) as exc:
+        raise SchemaError(str(exc), path, lineno) from None
+
+
 def read_jsonl(
     path: str | Path, decode: Callable[[Mapping], object], unique=None, data: bytes | None = None
 ) -> list:
@@ -386,17 +400,7 @@ def read_jsonl(
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                try:
-                    obj = json.loads(line)
-                    if not isinstance(obj, dict):
-                        raise SchemaError("not a JSON object")
-                    item = decode(obj)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"invalid JSON ({exc.msg})", path, lineno) from None
-                except (
-                    SchemaError, AttributeError, LookupError, TypeError, ValueError, RecursionError
-                ) as exc:
-                    raise SchemaError(str(exc), path, lineno) from None
+                item = decode_line(line, decode, path, lineno)
                 if unique is not None:
                     key = unique(item)
                     if key in seen:

@@ -7,7 +7,6 @@ case-, accent-, and punctuation-insensitive.
 
 from __future__ import annotations
 
-import hashlib
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,14 +156,6 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     except SchemaError as exc:
         raise SchemaError(str(exc), path) from None
     return gaz
-
-
-def bundled_digest() -> str:
-    """sha256 over the bundled tables that ``default_gazetteer`` reads, file by file."""
-    digest = hashlib.sha256()
-    for name in ("diseases.tsv", "countries.tsv"):
-        digest.update(hashlib.sha256((_DATA_DIR / name).read_bytes()).digest())
-    return digest.hexdigest()
 
 
 @lru_cache(maxsize=1)

@@ -27,7 +27,6 @@ from epix.errors import (
     EpixError, ExtractionFailed, NoIsland, SchemaError, TransportError,
 )
 from epix.evaluation import MatchMode
-from epix.gazetteer import bundled_digest
 from epix.llm import (
     Sampling,
     Transport,
@@ -376,6 +375,24 @@ def _deep_vouched_prediction(tmp_path, handler, endpoint):
     return ["--config", str(config), "evaluate"], 2, f"{predictions}: line 1: "
 
 
+def _swapped_member_line(tmp_path, line):
+    """A rule-based extractor, a model and their ensemble, extracted; then the
+    rule-based first line swapped for ``line``, its journal row re-hashed to
+    vouch for it. The next extract re-votes on that line's document."""
+    _, config = _three_extractors(tmp_path)
+    predictions, sidecar = _predictions_file(tmp_path, "rule"), _state_file(tmp_path, "rule")
+    predictions.write_bytes(line + b"".join(predictions.read_bytes().splitlines(keepends=True)[1:]))
+    header, rows = _journal(sidecar)
+    rows[0][2] = hashlib.sha256(line).hexdigest()
+    sidecar.write_bytes(_journal_bytes(header, rows))
+    return ["--config", str(config), "extract"], 2, f"{predictions}: line 1: "
+
+
+def _deep_member_line(tmp_path, handler, endpoint):
+    line = '{"document_id": "d0", "extractor_id": ' + _DEEP + "}\n"
+    return _swapped_member_line(tmp_path, line.encode())
+
+
 def _deep_cache(answer, entry=None):
     """A replay extract whose first cache entry answers ``answer``, or is ``entry``."""
 
@@ -415,14 +432,15 @@ def _deep_report(tmp_path, handler, endpoint):
         _deep_line("gold.jsonl", "document_id", "evaluate"),
         _deep_sidecar,
         _deep_vouched_prediction,
+        _deep_member_line,
         _deep_cache("overwritten", entry=_DEEP),
         _deep_cache('{"virus": ' + _DEEP + "}"),
         _deep_reply,
         _deep_report,
     ],
     ids=[
-        "config", "corpus", "gold", "sidecar", "vouched-prediction", "cache-entry", "model-answer",
-        "reply", "report",
+        "config", "corpus", "gold", "sidecar", "vouched-prediction", "member-line", "cache-entry",
+        "model-answer", "reply", "report",
     ],
 )
 def test_json_nested_too_deeply_is_malformed_input_not_a_crash(
@@ -438,6 +456,18 @@ def test_json_nested_too_deeply_is_malformed_input_not_a_crash(
     assert err.startswith("error: ") and said in err if rc else err == ""
     if rc == 0:  # an answer with no parseable object is a parse failure
         assert [r["flags"]["parse_failure"] for r in _predictions(tmp_path, "m")] == [True] * 3
+
+
+@pytest.mark.parametrize(
+    "line", [b"[1]\n", b'{"document_id": "d0"}\n'], ids=["not-an-object", "no-fields"]
+)
+def test_vouched_member_line_that_is_no_record_exits_2_naming_its_line(tmp_path, capsys, line):
+    argv, rc, said = _swapped_member_line(tmp_path, line)
+    before = _predictions_file(tmp_path, "ens").read_bytes()
+    capsys.readouterr()
+    assert main(argv) == rc
+    assert capsys.readouterr().err.startswith(f"error: {said}")
+    assert _predictions_file(tmp_path, "ens").read_bytes() == before
 
 
 def _edit_line(index, before, after):
@@ -917,24 +947,20 @@ def test_resume_with_nothing_new_writes_nothing(tmp_path, monkeypatch, capsys):
         assert f"{ext}: 3 records (0 new)" in out
 
 
-def _change(monkeypatch, digest):
-    """Make ``cli.bundled_digest``, or ``cli.source_digest`` of the kind
-    ``digest``, read as if the tables or that kind's code had changed."""
-    if digest == "bundled_digest":
-        monkeypatch.setattr(cli, digest, lambda: "0" * 64)
-    else:
-        real = cli.source_digest
-        monkeypatch.setattr(
-            cli, "source_digest", lambda kind: "0" * 64 if kind == digest else real(kind)
-        )
+def _change(monkeypatch, changed):
+    """Make ``cli.source_digest`` read as if the code of the kind ``changed``,
+    or the file ``changed``, had changed: the digest of each row that lists it."""
+    kinds = {kind for kind, names in cli._SOURCES.items() if changed == kind or changed in names}
+    real = cli.source_digest
+    monkeypatch.setattr(cli, "source_digest", lambda kind: "0" * 64 if kind in kinds else real(kind))
 
 
-def _assert_redone(tmp_path, monkeypatch, capsys, digest, redone):
-    """A changed ``digest`` (see ``_change``) redoes every record of the
-    ``redone`` extractors, and nothing else."""
+def _assert_redone(tmp_path, monkeypatch, capsys, changed, redone):
+    """A ``changed`` kind's code or file (see ``_change``) redoes every record
+    of the ``redone`` extractors, and nothing else."""
     _, config = _three_extractors(tmp_path)
     before = {ext: _predictions(tmp_path, ext) for ext in _THREE}
-    _change(monkeypatch, digest)
+    _change(monkeypatch, changed)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     out = capsys.readouterr().out
@@ -946,7 +972,7 @@ def _assert_redone(tmp_path, monkeypatch, capsys, digest, redone):
 
 def test_changed_gazetteer_reextracts_every_rule_based_document(tmp_path, monkeypatch, capsys):
     # The model's records are normalized through the gazetteer too.
-    _assert_redone(tmp_path, monkeypatch, capsys, "bundled_digest", ("rule", "m"))
+    _assert_redone(tmp_path, monkeypatch, capsys, "data/diseases.tsv", ("rule", "m"))
 
 
 def test_changed_rule_based_code_reextracts_every_rule_based_document(
@@ -956,9 +982,10 @@ def test_changed_rule_based_code_reextracts_every_rule_based_document(
 
 
 def _assert_covers_each_module(monkeypatch, tmp_path, kind, names):
-    """``cli.source_digest(kind)`` changes with an edit to each of the ``names`` modules."""
+    """``cli.source_digest(kind)`` changes with an edit to each of the ``names`` files."""
     for name in names:
-        (tmp_path / name).write_bytes(Path(cli.__file__).with_name(name).read_bytes())
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes((Path(cli.__file__).parent / name).read_bytes())
     monkeypatch.setattr(cli.annotator, "__file__", str(tmp_path / "annotator.py"))
     digests = set()
     try:
@@ -974,12 +1001,15 @@ def _assert_covers_each_module(monkeypatch, tmp_path, kind, names):
 
 
 def test_rule_based_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path):
-    names = ("annotator.py", "normalize.py", "gazetteer.py")
+    names = ("annotator.py", "normalize.py", "gazetteer.py", "data/diseases.tsv", "data/countries.tsv")
     _assert_covers_each_module(monkeypatch, tmp_path, "rule_based", names)
 
 
 def test_model_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path):
-    names = ("llm.py", "normalize.py", "gazetteer.py")
+    names = (
+        "llm.py", "normalize.py", "gazetteer.py", "data/diseases.tsv", "data/countries.tsv",
+        "data/prompts/instruction_v1.txt", "data/prompts/demonstrations_v1.json",
+    )
     _assert_covers_each_module(monkeypatch, tmp_path, "llm", names)
 
 
@@ -1014,13 +1044,31 @@ def test_ensemble_source_digest_covers_each_of_its_modules(monkeypatch, tmp_path
 
 
 def test_every_module_is_in_a_source_table_row_or_decides_nothing():
-    """A new module must be placed: in the row of each kind whose lines or
-    records its code decides, or among those that decide none."""
+    """A new module or bundled data file must be placed: in the row of each
+    kind whose lines or records its bytes decide, or among those that decide none."""
     decides_nothing = {"__init__.py", "errors.py", "evaluation.py", "state.py"}
     covered = {name for names in cli._SOURCES.values() for name in names}
-    modules = {path.name for path in Path(cli.__file__).parent.glob("*.py")}
+    package = Path(cli.__file__).parent
+    files = {path.name for path in package.glob("*.py")} | {
+        path.relative_to(package).as_posix() for path in package.glob("data/**/*") if path.is_file()
+    }
     assert covered.isdisjoint(decides_nothing)
-    assert modules == covered | decides_nothing
+    assert files == covered | decides_nothing
+
+
+def test_every_listed_data_file_ships_with_the_package():
+    """Each ``data/`` file of a source row matches a package-data glob, so that
+    an installed package can load a config."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8"))
+    package = Path(cli.__file__).parent
+    shipped = {
+        path.relative_to(package).as_posix()
+        for pattern in pyproject["tool"]["setuptools"]["package-data"]["epix"]
+        for path in package.glob(pattern)
+    }
+    listed = {name for names in cli._SOURCES.values() for name in names if name.startswith("data/")}
+    assert listed and listed <= shipped, listed - shipped
 
 
 @pytest.mark.parametrize("later", [False, True], ids=["same-run", "later-run"])
@@ -1576,45 +1624,31 @@ def test_reextract_after_any_edits_writes_what_a_clean_extract_writes(steps):
                 assert written == (clean / path).read_bytes(), (step.__name__, args, path)
 
 
-def test_model_fingerprint_covers_the_template_fields_not_its_scaffold(tmp_path):
-    config = load_run_config(_write_config(
-        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"}]
-    ))
-    template = config.extractors[0].template
-    source = {
-        "kind": "llm",
-        "model": {
-            "name": "gpt-4-32k", "context_length": 32768, "parameter_count": None,
-            "kind": "COMMERCIAL",
-        },
-        "template": {
-            "name": "three-shot",
-            "instruction": template.instruction,
-            "demonstrations": [
-                {"excerpt": demo.excerpt, "answer": dict(demo.answer)}
-                for demo in template.demonstrations
-            ],
-        },
-        "sampling": {"temperature": 0.0, "max_tokens": 512},
-        "gazetteer": bundled_digest(),
-        "code": cli.source_digest("llm"),
-    }
-    canonical = json.dumps(source, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    assert config.fingerprints["m"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _fingerprint_of(source):
     canonical = json.dumps(source, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def test_rule_based_fingerprint_covers_the_gazetteer_and_the_code(tmp_path):
-    config = load_run_config(_write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}]))
+def test_model_fingerprint_covers_the_template_fields_not_its_scaffold(tmp_path):
+    # The model and preset names stand for the profile and the template fields,
+    # which the files of the ``llm`` row (``llm.py`` and the prompts) decide.
+    config = load_run_config(_write_config(
+        tmp_path, [{"id": "m", "kind": "llm", "model": "gpt-4-32k", "template": "three-shot"}]
+    ))
     source = {
-        "kind": "rule_based",
-        "gazetteer": bundled_digest(),
-        "code": cli.source_digest("rule_based"),
+        "kind": "llm",
+        "model": "gpt-4-32k",
+        "template": "three-shot",
+        "sampling": {"temperature": 0.0, "max_tokens": 512},
+        "code": cli.source_digest("llm"),
     }
+    assert config.fingerprints["m"] == _fingerprint_of(source)
+
+
+def test_rule_based_fingerprint_covers_the_gazetteer_and_the_code(tmp_path):
+    # The gazetteer tables are files of the ``rule_based`` row.
+    config = load_run_config(_write_config(tmp_path, [{"id": "rule", "kind": "rule_based"}]))
+    source = {"kind": "rule_based", "code": cli.source_digest("rule_based")}
     assert config.fingerprints["rule"] == _fingerprint_of(source)
 
 
@@ -1821,10 +1855,10 @@ def test_corrupt_cache_entry_in_record_mode_exits_3_naming_it(
 
 
 @pytest.mark.parametrize(
-    "digest", ["bundled_digest", "llm"], ids=["bundled_digest", "model_source_digest"]
+    "changed", ["data/countries.tsv", "llm"], ids=["bundled_digest", "model_source_digest"]
 )
 def test_changed_tables_or_model_code_redo_record_mode_records_without_a_request(
-    tmp_path, monkeypatch, capsys, stub_server, digest
+    tmp_path, monkeypatch, capsys, stub_server, changed
 ):
     handler, endpoint = stub_server
     handler.responses = [(200, _answer(_FRANCE))]
@@ -1832,7 +1866,7 @@ def test_changed_tables_or_model_code_redo_record_mode_records_without_a_request
     assert main(["--config", str(config), "extract"]) == 0
     assert len(handler.seen) == 3
     before = _predictions_file(tmp_path, "m").read_bytes()
-    _change(monkeypatch, digest)
+    _change(monkeypatch, changed)
     capsys.readouterr()
     assert main(["--config", str(config), "extract"]) == 0
     assert "m: 3 records (3 new)" in capsys.readouterr().out
@@ -1961,7 +1995,9 @@ def test_good_numbers_in_config_load(tmp_path):
             sampling={"temperature": 0.7, "max_tokens": 1},
         )
     )
-    assert (config.concurrency, config.max_attempts, config.backoff_base) == (1, 1, 0)
+    assert (config.concurrency, config.transport.max_attempts, config.transport.backoff_base) == (
+        1, 1, 0
+    )
     assert config.sampling == Sampling(temperature=0.7, max_tokens=1)
 
 
@@ -2321,7 +2357,7 @@ def test_config_choices_load_in_any_case(tmp_path):
     )
     config = load_run_config(path)
     assert config.match_mode is MatchMode.DETECTION_ONLY
-    assert config.transport_mode is TransportMode.RECORD
+    assert config.transport.mode is TransportMode.RECORD
     assert config.extractors[2].ensemble.policy.tie_break is TieBreak.ABSTAIN
 
 
@@ -2557,4 +2593,17 @@ def test_global_output_and_mode_overrides(tmp_path):
     assert rc == 0
     assert (other / "predictions" / "rule.jsonl").exists()
     parsed = load_run_config(config)
-    assert parsed.transport_mode.value == "REPLAY"
+    assert parsed.transport.mode.value == "REPLAY"
+
+
+def test_mode_flag_overrides_the_configured_transport_mode(
+    tmp_path, monkeypatch, capsys, stub_server
+):
+    handler, endpoint = stub_server
+    handler.responses = [(200, _answer(_FRANCE))]
+    config = _record_config(tmp_path, monkeypatch, endpoint)
+    # Replayed, the empty cache misses, and nothing is sent.
+    assert main(["--config", str(config), "--mode", "replay", "extract"]) == 3
+    assert handler.seen == []
+    assert main(["--config", str(config), "extract"]) == 0
+    assert len(handler.seen) == 3
